@@ -28,17 +28,15 @@ using namespace dbsens;
 double
 missRateWithPolicy(const AccessTrace &trace, int llc_mb, bool aged)
 {
-    // The production LlcSim uses aged insertion; emulate plain LRU by
-    // replaying through a private simulator variant: we approximate
-    // LRU by replaying the trace twice and touching each line on
-    // fill (the second pass promotes everything, i.e. no scan
-    // resistance). For the honest comparison we instead rebuild with
-    // the real simulator and, for the LRU case, double-touch each
-    // access so every line is immediately "re-referenced".
+    // The production LlcSim uses aged insertion. Emulate plain LRU with
+    // the same simulator by touching every access twice: the re-touch
+    // hits the line just filled and promotes it, so no line keeps its
+    // aged insertion stamp (no scan resistance). Only the first touch
+    // counts toward the miss rate.
+    if (aged)
+        return trace.replayMissRate(llc_mb);
     LlcSim llc;
     llc.setTotalAllocationMb(llc_mb);
-    if (aged)
-        return trace.replayMissRate(llc);
     uint64_t miss = 0, n = 0;
     const auto &addrs = trace.addrs();
     const size_t warm = addrs.size() / 10;

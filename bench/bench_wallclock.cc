@@ -178,6 +178,8 @@ main(int argc, char **argv)
     const double join_flat = rep.at("BM_HashJoinFlat");
     const double q1 = rep.at("BM_TpchE2E/1");
     const double q6 = rep.at("BM_TpchE2E/6");
+    const double replay_ref = rep.at("BM_LlcReplayRef");
+    const double replay = rep.at("BM_LlcReplay");
 
     auto ratio = [](double base, double now) {
         return now > 0 ? base / now : 0.0;
@@ -197,7 +199,9 @@ main(int argc, char **argv)
     printf("    \"hash_join_ref_ms\": %.3f,\n", join_ref);
     printf("    \"hash_join_flat_ms\": %.3f,\n", join_flat);
     printf("    \"tpch_q1_ms\": %.3f,\n", q1);
-    printf("    \"tpch_q6_ms\": %.3f\n", q6);
+    printf("    \"tpch_q6_ms\": %.3f,\n", q6);
+    printf("    \"llc_replay_ref_ms\": %.3f,\n", replay_ref);
+    printf("    \"llc_replay_ms\": %.3f\n", replay);
     printf("  },\n");
     printf("  \"bytes_per_pass\": {\n");
     printf("    \"filter_vectorized\": %.0f,\n",
@@ -281,7 +285,8 @@ main(int argc, char **argv)
     printf("  \"speedup_vs_ref_in_binary\": {\n");
     printf("    \"filter\": %.2f,\n", ratio(filter_ref, filter_vec));
     printf("    \"hash_agg\": %.2f,\n", ratio(agg_ref, agg_flat));
-    printf("    \"hash_join\": %.2f\n", ratio(join_ref, join_flat));
+    printf("    \"hash_join\": %.2f,\n", ratio(join_ref, join_flat));
+    printf("    \"llc_replay\": %.2f\n", ratio(replay_ref, replay));
     printf("  }\n");
     printf("}\n");
     benchmark::Shutdown();

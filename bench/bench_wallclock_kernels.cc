@@ -3,7 +3,8 @@
  * Wall-clock benchmarks of the executor hot path: vectorized
  * expression kernels and flat hash tables versus the shapes they
  * replaced (per-row tree interpretation, std::unordered_multimap
- * joins, std::unordered_map<std::vector> aggregation).
+ * joins, std::unordered_map<std::vector> aggregation). Also the LLC
+ * trace replay versus the per-access LlcSim loop it replaced.
  *
  * Kept in a separate translation unit from bench_wallclock.cc on
  * purpose: this file includes only the kernel headers under test, so
@@ -22,6 +23,7 @@
 #include "exec/expr.h"
 #include "exec/flat_hash.h"
 #include "exec/morsel.h"
+#include "hw/cache_feed.h"
 #include "storage/encoded_column.h"
 #include "wallclock_params.h"
 
@@ -590,6 +592,80 @@ BM_HashJoinMorsel(benchmark::State &state)
     state.counters["pairs"] = double(pairs);
 }
 BENCHMARK(BM_HashJoinMorsel)->Arg(1)->Arg(2)->Arg(4)->Repetitions(3);
+
+// ----------------------------------------------------------- LLC replay
+
+/** The CAT allocations bench/e2e's tpch_sf300 replays, in its order. */
+constexpr int kReplayMb[] = {40, 2, 20};
+
+/**
+ * 1M-address TPC-H-shaped trace: six of seven accesses hit a 12 MB
+ * working-buffer region with Zipf skew, the seventh streams through
+ * fresh base data.
+ */
+const std::vector<uint64_t> &
+replayTrace()
+{
+    static const std::vector<uint64_t> addrs = [] {
+        Rng rng(11);
+        ZipfSampler hot((12ull << 20) / 64, 0.9);
+        std::vector<uint64_t> a;
+        a.reserve(kRows);
+        uint64_t scan = 1ull << 32;
+        for (size_t i = 0; i < kRows; ++i)
+            a.push_back(i % 7 == 6 ? (scan += 64) : hot(rng) * 64);
+        return a;
+    }();
+    return addrs;
+}
+
+/** Reference: every access through LlcSim::access, one fresh cache
+ * per allocation (the replay the set-sharded kernel replaced). */
+void
+BM_LlcReplayRef(benchmark::State &state)
+{
+    const auto &addrs = replayTrace();
+    const auto warm = size_t(double(addrs.size()) * 0.1);
+    double sum = 0;
+    for (auto _ : state) {
+        sum = 0;
+        for (int mb : kReplayMb) {
+            LlcSim llc;
+            llc.setTotalAllocationMb(mb);
+            for (size_t i = 0; i < addrs.size(); ++i) {
+                if (i == warm)
+                    llc.resetCounters();
+                llc.access(socketOfAddr(addrs[i]), addrs[i]);
+            }
+            sum += double(llc.misses()) / double(llc.accesses());
+        }
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(addrs.size() * std::size(kReplayMb)));
+    state.counters["miss_rate_sum"] = sum;
+}
+BENCHMARK(BM_LlcReplayRef)->Repetitions(3);
+
+/** AccessTrace::replayMissRate, serial (no pool), same allocations. */
+void
+BM_LlcReplay(benchmark::State &state)
+{
+    AccessTrace trace(kRows + 1);
+    for (uint64_t a : replayTrace())
+        trace.add(a);
+    double sum = 0;
+    for (auto _ : state) {
+        sum = 0;
+        for (int mb : kReplayMb)
+            sum += trace.replayMissRate(mb);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(kRows * std::size(kReplayMb)));
+    state.counters["miss_rate_sum"] = sum;
+}
+BENCHMARK(BM_LlcReplay)->Repetitions(3);
 
 } // namespace
 } // namespace dbsens

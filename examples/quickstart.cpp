@@ -82,9 +82,7 @@ main()
         params.dop = pq.parallelPlan ? cores : 1;
         params.grantBytes = run.queryGrantBytes();
         // Miss rate of this query's own trace at the allocation.
-        LlcSim llc;
-        llc.setTotalAllocationMb(llc_mb);
-        params.missRate = trace.replayMissRate(llc);
+        params.missRate = trace.replayMissRate(llc_mb);
         SimTime done = 0;
         auto wrapper = [&]() -> Task<void> {
             co_await replayQuery(run, pq.profile, params);

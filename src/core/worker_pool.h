@@ -3,8 +3,9 @@
  * Small fixed worker pool for morsel-driven wallclock parallelism.
  *
  * Scope is deliberately narrow: this pool accelerates the *real*
- * compute the executor does on the host (filter/projection kernels,
- * join probes) — it never touches the discrete-event simulation,
+ * compute done on the host (filter/projection kernels, join probes,
+ * the set-sharded LLC trace replay) — it never touches the
+ * discrete-event simulation,
  * whose clock, rng, and cache feed stay single-threaded and seeded
  * (see DESIGN.md Section 12 for the determinism argument).
  *

@@ -19,7 +19,8 @@ tpchOptimizerConfig(int maxdop)
     return cfg;
 }
 
-TpchDriver::TpchDriver(int sf, uint64_t seed) : sf_(sf)
+TpchDriver::TpchDriver(int sf, uint64_t seed)
+    : sf_(sf), replayPool_(std::thread::hardware_concurrency())
 {
     db_ = tpch::generate(sf, seed);
     env_ = std::make_unique<ProfilingEnv>(*db_);
@@ -80,9 +81,7 @@ TpchDriver::missRate(int llc_mb)
     auto it = missRateByMb_.find(llc_mb);
     if (it != missRateByMb_.end())
         return it->second;
-    LlcSim llc;
-    llc.setTotalAllocationMb(llc_mb);
-    const double rate = trace_.replayMissRate(llc);
+    const double rate = trace_.replayMissRate(llc_mb, &replayPool_);
     missRateByMb_[llc_mb] = rate;
     return rate;
 }

@@ -17,6 +17,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/worker_pool.h"
 #include "engine/query_runner.h"
 #include "engine/sim_run.h"
 #include "workloads/tpch/tpch_gen.h"
@@ -59,8 +60,15 @@ class TpchDriver
      */
     const ProfiledQuery &profile(int q, int maxdop);
 
-    /** Workload-level LLC miss rate at a CAT allocation (cached). */
+    /**
+     * Workload-level LLC miss rate at a CAT allocation (cached). The
+     * trace replay runs on the driver's worker pool; the rate does not
+     * depend on the host's core count.
+     */
     double missRate(int llc_mb);
+
+    /** The steady-state pass's recorded workload trace. */
+    const AccessTrace &trace() const { return trace_; }
 
     /** Sampled cache touches per 1000 instructions (workload-level). */
     double touchesPerKiloInstr();
@@ -91,6 +99,8 @@ class TpchDriver
     std::map<std::string, ProfiledQuery> profilesBySig_;
     std::map<std::pair<int, int>, const ProfiledQuery *> byQueryDop_;
     std::map<int, double> missRateByMb_;
+    /** One worker per hardware thread, for missRate's trace replay. */
+    WorkerPool replayPool_;
 };
 
 /** Serial-threshold calibrated for the scaled TPC-H sizes. */

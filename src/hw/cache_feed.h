@@ -26,6 +26,8 @@
 
 namespace dbsens {
 
+class WorkerPool;
+
 /** Destination for sampled cache-model accesses. */
 class CacheFeed
 {
@@ -128,25 +130,14 @@ class AccessTrace
     }
 
     /**
-     * Replay against an LLC simulator and return the miss *rate*
-     * (misses per access). The first `warmup_fraction` of the trace
-     * primes the cache without counting.
+     * Replay into a fresh LLC at a total CAT allocation of `llc_mb`
+     * (LlcSim::setTotalAllocationMb) and return the miss *rate*
+     * (misses per access); the first tenth of the trace primes the
+     * cache without counting. With a pool, disjoint set ranges replay
+     * in parallel; the result is identical for any pool, or none.
+     * Defined in llc_sim.cc.
      */
-    double
-    replayMissRate(LlcSim &llc, double warmup_fraction = 0.1) const
-    {
-        if (addrs_.empty())
-            return 0.0;
-        const auto warm = size_t(double(addrs_.size()) * warmup_fraction);
-        for (size_t i = 0; i < addrs_.size(); ++i) {
-            if (i == warm)
-                llc.resetCounters();
-            llc.access(socketOfAddr(addrs_[i]), addrs_[i]);
-        }
-        return llc.accesses()
-                   ? double(llc.misses()) / double(llc.accesses())
-                   : 0.0;
-    }
+    double replayMissRate(int llc_mb, WorkerPool *pool = nullptr) const;
 
   private:
     void

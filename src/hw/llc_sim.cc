@@ -1,6 +1,8 @@
 #include "hw/llc_sim.h"
 
 #include "core/logging.h"
+#include "core/worker_pool.h"
+#include "hw/cache_feed.h"
 
 namespace dbsens {
 
@@ -30,14 +32,20 @@ LlcSim::setCosWayMask(int cos, uint32_t mask)
     allowedWays_[cos] = __builtin_popcount(mask);
 }
 
-void
-LlcSim::setTotalAllocationMb(int mb)
+int
+LlcSim::waysForAllocationMb(int mb)
 {
     const int ways_per_socket = mb / 2; // 1 MB per way per socket
     if (ways_per_socket < 1 || ways_per_socket > kWays)
         fatal("LLC allocation must be 2..40 MB in steps of 2, got " +
               std::to_string(mb));
-    setWayMask((1u << ways_per_socket) - 1);
+    return ways_per_socket;
+}
+
+void
+LlcSim::setTotalAllocationMb(int mb)
+{
+    setWayMask((1u << waysForAllocationMb(mb)) - 1);
 }
 
 bool
@@ -48,35 +56,82 @@ LlcSim::access(int socket, uint64_t addr, int cos)
     auto &cache = sockets_[socket & 1];
     const uint64_t line = addr / kCacheLineSize;
     const auto set = size_t(line % kSets);
-    const uint64_t tag = line / kSets;
-    Way *base = &cache.ways[set * kWays];
-
     // Hit check across *all* ways: CAT restricts allocation, not
-    // lookup.
-    for (int w = 0; w < kWays; ++w) {
-        if (base[w].tag == tag) {
-            base[w].lastUse = int64_t(clock_);
-            return true;
-        }
-    }
-
-    // Miss: fill into the oldest way allowed for this COS. New lines
-    // enter with an aged timestamp (scan resistance; see kInsertAge).
+    // lookup. A miss fills into the oldest way allowed for this COS.
+    if (accessRow(&cache.ways[set * kWays], kWays,
+                  cosMask_[cos & (kMaxCos - 1)], line / kSets,
+                  int64_t(clock_)))
+        return true;
     ++misses_;
-    const uint32_t mask = cosMask_[cos & (kMaxCos - 1)];
-    int victim = -1;
-    int64_t oldest = INT64_MAX;
-    for (int w = 0; w < kWays; ++w) {
-        if (!(mask & (1u << w)))
-            continue;
-        if (base[w].lastUse < oldest) {
-            oldest = base[w].lastUse;
-            victim = w;
-        }
-    }
-    base[victim].tag = tag;
-    base[victim].lastUse = int64_t(clock_) - int64_t(kInsertAge);
     return false;
+}
+
+double
+AccessTrace::replayMissRate(int llc_mb, WorkerPool *pool) const
+{
+    // Equal, bit for bit, to replaying the trace through a fresh LlcSim
+    // set to llc_mb, for any shard or worker count (DESIGN.md, LLC):
+    //  - an access reads and writes only its own (socket, set) row,
+    //    and recency is compared only within a row, so disjoint set
+    //    ranges replay independently on the global clock i + 1;
+    //  - under a contiguous low mask a fresh row only ever fills ways
+    //    0..ways-1; the rest keep the empty tag ~0, which no real tag
+    //    (addr >> 20 < 2^44) matches, so scanning `ways` ways suffices;
+    //  - accessRow is the same policy code LlcSim::access runs.
+    const int ways = LlcSim::waysForAllocationMb(llc_mb);
+    const size_t n = addrs_.size();
+    if (n == 0)
+        return 0.0;
+    const auto warm = size_t(double(n) * 0.1);
+    const uint32_t mask = (1u << ways) - 1;
+    constexpr size_t kSets = LlcSim::kSets;
+    constexpr size_t kSockets = calib::kSockets;
+
+    // About two set ranges per worker, so a slow shard is not the
+    // whole tail. Each shard gets private rows per socket over its set
+    // range: together at most one LlcSim's state, in pieces no larger
+    // than LlcSim's, so freeing them raises malloc's mmap threshold no
+    // higher than a serial replay through LlcSim did (a larger piece
+    // makes later allocations stay resident in the heap).
+    const size_t shards = pool ? 2 * size_t(pool->workers()) : 1;
+    auto firstSet = [shards](size_t s) { return kSets * s / shards; };
+    std::vector<std::vector<LlcSim::Way>> rows(shards * kSockets);
+    for (size_t s = 0; s < shards; ++s)
+        for (size_t k = 0; k < kSockets; ++k)
+            rows[s * kSockets + k].resize(
+                (firstSet(s + 1) - firstSet(s)) * size_t(ways));
+    std::vector<uint64_t> misses(shards, 0);
+    auto replayShard = [&](size_t s) {
+        const size_t lo = firstSet(s);
+        const size_t span = firstSet(s + 1) - lo;
+        LlcSim::Way *base[kSockets];
+        for (size_t k = 0; k < kSockets; ++k)
+            base[k] = rows[s * kSockets + k].data();
+        uint64_t m = 0;
+        for (size_t i = 0; i < n; ++i) {
+            const uint64_t addr = addrs_[i];
+            const uint64_t line = addr / kCacheLineSize;
+            const auto set = size_t(line % kSets);
+            if (set - lo >= span)
+                continue;
+            LlcSim::Way *row =
+                base[socketOfAddr(addr)] + (set - lo) * size_t(ways);
+            if (!LlcSim::accessRow(row, ways, mask, line / kSets,
+                                   int64_t(i + 1)) &&
+                i >= warm)
+                ++m;
+        }
+        misses[s] = m;
+    };
+    if (pool)
+        pool->runTasks(shards, replayShard);
+    else
+        replayShard(0);
+
+    uint64_t total = 0;
+    for (uint64_t m : misses)
+        total += m;
+    return double(total) / double(n - warm);
 }
 
 void

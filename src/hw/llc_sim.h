@@ -55,6 +55,9 @@ class LlcSim
      */
     void setTotalAllocationMb(int mb);
 
+    /** Ways per socket that setTotalAllocationMb(mb) allows. */
+    static int waysForAllocationMb(int mb);
+
     uint32_t wayMask() const { return cosMask_[0]; }
 
     uint32_t cosWayMask(int cos) const { return cosMask_[cos]; }
@@ -91,7 +94,6 @@ class LlcSim
      */
     static constexpr uint64_t kInsertAge = 1u << 20;
 
-  private:
     struct Way
     {
         uint64_t tag = ~uint64_t{0};
@@ -100,6 +102,38 @@ class LlcSim
         int64_t lastUse = INT64_MIN;
     };
 
+    /**
+     * The replacement policy of one (socket, set) row: look `tag` up in
+     * ways 0..nways-1 and stamp a hit with `clock`; on a miss, fill the
+     * oldest way `mask` allows with an aged stamp. The strict `<` keeps
+     * the lowest-numbered way on ties. Returns true on a hit.
+     */
+    static bool
+    accessRow(Way *row, int nways, uint32_t mask, uint64_t tag,
+              int64_t clock)
+    {
+        for (int w = 0; w < nways; ++w) {
+            if (row[w].tag == tag) {
+                row[w].lastUse = clock;
+                return true;
+            }
+        }
+        int victim = -1;
+        int64_t oldest = INT64_MAX;
+        for (int w = 0; w < nways; ++w) {
+            if (!(mask & (1u << w)))
+                continue;
+            if (row[w].lastUse < oldest) {
+                oldest = row[w].lastUse;
+                victim = w;
+            }
+        }
+        row[victim].tag = tag;
+        row[victim].lastUse = clock - int64_t(kInsertAge);
+        return false;
+    }
+
+  private:
     struct SocketCache
     {
         std::vector<Way> ways; // kSets * kWays, row-major by set

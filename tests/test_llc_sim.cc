@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/random.h"
+#include "core/worker_pool.h"
+#include "harness/tpch_driver.h"
 #include "hw/cache_feed.h"
 #include "hw/llc_sim.h"
 #include "hw/virtual_space.h"
@@ -188,14 +192,151 @@ TEST(AccessTrace, ReplayMissRateSeesLocality)
     for (int rep = 0; rep < 100; ++rep)
         for (uint64_t i = 0; i < 100; ++i)
             hot.add(i * 64);
-    LlcSim llc;
-    EXPECT_LT(hot.replayMissRate(llc), 0.05);
+    EXPECT_LT(hot.replayMissRate(40), 0.05);
 
     AccessTrace streaming;
     for (uint64_t i = 0; i < 100000; ++i)
         streaming.add(i * 64 * 131); // distinct lines
-    LlcSim llc2;
-    EXPECT_GT(streaming.replayMissRate(llc2), 0.9);
+    EXPECT_GT(streaming.replayMissRate(40), 0.9);
+}
+
+// ------------------------------------------------------------ LlcReplay
+
+/**
+ * The serial reference replay: every access through LlcSim::access on
+ * one fresh simulator, counting misses past the first tenth.
+ */
+double
+oracleMissRate(const std::vector<uint64_t> &addrs, int llc_mb)
+{
+    if (addrs.empty())
+        return 0.0;
+    LlcSim llc;
+    llc.setTotalAllocationMb(llc_mb);
+    const auto warm = size_t(double(addrs.size()) * 0.1);
+    for (size_t i = 0; i < addrs.size(); ++i) {
+        if (i == warm)
+            llc.resetCounters();
+        llc.access(socketOfAddr(addrs[i]), addrs[i]);
+    }
+    return double(llc.misses()) / double(llc.accesses());
+}
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/**
+ * Replay `addrs` at every ladder allocation serially and on pools of
+ * 1-4 workers (3 gives uneven set ranges); each result must equal the
+ * oracle's bit for bit.
+ */
+void
+expectReplayMatchesOracle(const std::vector<uint64_t> &addrs)
+{
+    AccessTrace trace(addrs.size() + 1); // above the cap: no thinning
+    for (uint64_t a : addrs)
+        trace.add(a);
+    ASSERT_EQ(trace.addrs(), addrs);
+    WorkerPool p1(1), p2(2), p3(3), p4(4);
+    WorkerPool *const pools[] = {nullptr, &p1, &p2, &p3, &p4};
+    for (int mb = 2; mb <= 40; mb += 2) {
+        const double want = oracleMissRate(addrs, mb);
+        for (WorkerPool *pool : pools) {
+            const double got = trace.replayMissRate(mb, pool);
+            EXPECT_TRUE(sameBits(got, want))
+                << mb << " MB, " << (pool ? pool->workers() : 0)
+                << " workers: " << got << " vs oracle " << want;
+        }
+    }
+}
+
+/** Line address of `tag` in `set`: addr >> 20 is the tag. */
+uint64_t
+lineAddr(uint64_t set, uint64_t tag)
+{
+    return (tag * uint64_t(LlcSim::kSets) + set) * 64;
+}
+
+TEST(LlcReplay, ZipfTraceMatchesOracleAtEveryAllocation)
+{
+    // A 48 MB Zipf working set: misses fall along the whole ladder.
+    Rng rng(77);
+    ZipfSampler zipf((48ull << 20) / 64, 0.8);
+    std::vector<uint64_t> addrs;
+    for (int i = 0; i < 120000; ++i)
+        addrs.push_back(zipf(rng) * 64);
+    EXPECT_GT(oracleMissRate(addrs, 2), oracleMissRate(addrs, 40));
+    expectReplayMatchesOracle(addrs);
+}
+
+TEST(LlcReplay, StreamingTraceMatchesOracleAtEveryAllocation)
+{
+    // Repeated scans over 256 sets spread across every shard's range;
+    // set s cycles through 1 + s % 24 tags, so each allocation sees a
+    // different mix of rows that fit and rows that thrash.
+    std::vector<uint64_t> addrs;
+    for (int pass = 0; pass < 4; ++pass)
+        for (uint64_t tag = 0; tag < 24; ++tag)
+            for (uint64_t s = 0; s < 256; ++s)
+                if (tag <= s % 24)
+                    addrs.push_back(lineAddr(s * 64, tag));
+    EXPECT_GT(oracleMissRate(addrs, 2), oracleMissRate(addrs, 40));
+    expectReplayMatchesOracle(addrs);
+}
+
+TEST(LlcReplay, MixedSocketTraceMatchesOracleAtEveryAllocation)
+{
+    // Zipf-hot 4 KB pages (consecutive pages alternate sockets) at
+    // random byte offsets, interleaved with arbitrary 64-bit
+    // addresses: every tag below 2^44, on both sockets.
+    Rng rng(4242);
+    ZipfSampler pages(16384, 0.9);
+    std::vector<uint64_t> addrs;
+    for (int i = 0; i < 120000; ++i)
+        addrs.push_back(rng.uniform(4) == 0
+                            ? rng()
+                            : (pages(rng) << 12) | rng.uniform(4096));
+    int on_socket1 = 0;
+    for (uint64_t a : addrs)
+        on_socket1 += socketOfAddr(a);
+    EXPECT_GT(on_socket1, 40000);
+    EXPECT_LT(on_socket1, 80000);
+    EXPECT_GT(oracleMissRate(addrs, 2), oracleMissRate(addrs, 40));
+    expectReplayMatchesOracle(addrs);
+}
+
+TEST(LlcReplay, WarmupEdgeCases)
+{
+    // Empty: 0 with no division. Under 10 addresses the warm-up is
+    // empty (warm = 0) and every access counts; 10 and 11 warm one.
+    expectReplayMatchesOracle({});
+    EXPECT_EQ(AccessTrace().replayMissRate(20), 0.0);
+    for (size_t n : {1, 2, 5, 9, 10, 11}) {
+        std::vector<uint64_t> distinct, repeated;
+        for (size_t i = 0; i < n; ++i) {
+            distinct.push_back(lineAddr(5, i));
+            repeated.push_back(lineAddr(5, i % 2));
+        }
+        expectReplayMatchesOracle(distinct);
+        expectReplayMatchesOracle(repeated);
+    }
+    AccessTrace nine;
+    for (uint64_t i = 0; i < 9; ++i)
+        nine.add(lineAddr(5, 0));
+    EXPECT_EQ(nine.replayMissRate(2), 1.0 / 9.0); // cold miss counts
+}
+
+TEST(TpchDriverReplay, MissRateMatchesOracleAtEveryAllocation)
+{
+    TpchDriver driver(2);
+    const auto &addrs = driver.trace().addrs();
+    ASSERT_GT(addrs.size(), 1000u);
+    for (int mb = 2; mb <= 40; mb += 2)
+        EXPECT_TRUE(sameBits(driver.missRate(mb), oracleMissRate(addrs, mb)))
+            << mb << " MB";
 }
 
 TEST(CacheFeeds, LiveFeedCountsMisses)

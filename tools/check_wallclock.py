@@ -32,6 +32,10 @@ def in_run_ratios(doc):
     put("hash_agg_flat", cur["hash_agg_ref_ms"], cur["hash_agg_flat_ms"])
     put("hash_join_flat", cur["hash_join_ref_ms"],
         cur["hash_join_flat_ms"])
+    # Serial LLC trace replay against the per-access LlcSim loop: both
+    # single-threaded, so the ratio does not depend on the core count.
+    put("llc_replay", cur.get("llc_replay_ref_ms", 0),
+        cur.get("llc_replay_ms", 0))
     # Kernels without a dedicated reference: normalize by the scalar
     # filter, the most stable in-binary yardstick.
     put("eval_column", ref, cur["eval_column_ms"])
