@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/digest.h"
 #include "core/json.h"
 #include "core/table_printer.h"
 #include "core/trace.h"
@@ -152,10 +153,7 @@ toJson(const TuneResult &r)
     j["score"] = Json(r.score);
     // Hex string: a 64-bit digest does not survive the double-backed
     // JSON number representation.
-    char digest[24];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  (unsigned long long)r.trajectoryDigest);
-    j["trajectory_digest"] = Json(digest);
+    j["trajectory_digest"] = Json(digestHex(r.trajectoryDigest));
     Json tenants = Json::array();
     for (int t = 0; t < kNumTenants; ++t)
         tenants.push(toJson(r.finalState.tenant[t]));
@@ -195,10 +193,7 @@ toJson(const resil::ResilResult &r)
     j["olap_admit_sheds"] = Json(r.admitSheds[1]);
     // Hex string: a 64-bit digest does not survive the double-backed
     // JSON number representation.
-    char digest[24];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  (unsigned long long)r.incidentDigest);
-    j["incident_digest"] = Json(digest);
+    j["incident_digest"] = Json(digestHex(r.incidentDigest));
     Json eps = Json::array();
     for (const resil::IncidentEvent &e : r.episodes) {
         Json o = Json::object();
@@ -248,10 +243,7 @@ toJson(const sketch::SketchResult &r)
     }
     // Hex string: a 64-bit digest does not survive the double-backed
     // JSON number representation.
-    char digest[24];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  (unsigned long long)r.digest);
-    j["digest"] = Json(digest);
+    j["digest"] = Json(digestHex(r.digest));
     return j;
 }
 

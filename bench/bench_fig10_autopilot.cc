@@ -181,9 +181,6 @@ main(int argc, char **argv)
                     "digest"});
     for (const Arm &a : arms) {
         const TuneResult &tr = a.res.tune;
-        char digest[24];
-        std::snprintf(digest, sizeof digest, "%016llx",
-                      (unsigned long long)tr.trajectoryDigest);
         const std::string split =
             std::to_string(tr.finalState.tenant[0].cores) + "c/" +
             std::to_string(tr.finalState.tenant[0].llcMb) + "MB | " +
@@ -199,7 +196,7 @@ main(int argc, char **argv)
             .cell(double(tr.shifts), 0)
             .cell(double(tr.rollbacks), 0)
             .cell(split)
-            .cell(digest);
+            .cell(digestHex(tr.trajectoryDigest));
     }
     t.print(std::cout);
 

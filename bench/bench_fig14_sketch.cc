@@ -339,7 +339,7 @@ main(int argc, char **argv)
                                      exact[size_t(k)]);
                 r.mae = abserr / double(kKeys);
                 curve.push_back(r);
-                if (!folded.shrink(64))
+                if (!folded.shrink(dbsens::sketch::kMinCmsWidth))
                     break;
             }
             KllSketch kll(budgets.front().second, 0x5eed5ce7c4ULL);
@@ -348,7 +348,7 @@ main(int argc, char **argv)
             for (;;) {
                 kllCurve.push_back(KllRung{kll.k(), kll.bytes(),
                                            kll.rankErrorBound()});
-                if (!kll.shrink(16))
+                if (!kll.shrink(dbsens::sketch::kMinKllK))
                     break;
             }
         }

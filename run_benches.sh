@@ -19,15 +19,12 @@ PAPER_BENCHES="bench_table2_sizes bench_table3_waits \
     bench_fig7_plans bench_fig8_memgrant \
     bench_fig9_faults bench_pitfalls bench_ablation"
 
-# bench_fig10_autopilot runs three full HTAP arms plus an oracle
-# sweep, and bench_fig11_attribution runs two (static + probing);
-# --small keeps the script's runtime sane. Drop the flag for the
-# paper-scale numbers.
-FIG10="bench_fig10_autopilot --small"
-FIG11="bench_fig11_attribution --small"
-FIG12="bench_fig12_resilience --small"
-FIG13="bench_fig13_fleet --small"
-FIG14="bench_fig14_sketch --small"
+# The beyond-paper benches run with --small: bench_fig10_autopilot
+# runs three full HTAP arms plus an oracle sweep, and
+# bench_fig11_attribution runs two (static + probing), so --small keeps
+# the script's runtime sane. Drop the flag for the paper-scale numbers.
+SMALL_BENCHES="bench_fig10_autopilot bench_fig11_attribution \
+    bench_fig12_resilience bench_fig13_fleet bench_fig14_sketch"
 
 if [ "${1:-}" = "fig13" ]; then
     # Full-scale fleet sweep (node count x crash intensity); the
@@ -71,46 +68,15 @@ if [ "${1:-}" = "report" ]; then
             echo "BENCH FAILED: $b" >&2
         fi
     done
-    echo ""
-    echo "##### bench_fig10_autopilot (--small --json) #####"
-    # shellcheck disable=SC2086
-    if build/bench/$FIG10 --json reports/bench_fig10_autopilot.json; then
-        collected="$collected reports/bench_fig10_autopilot.json"
-    else
-        echo "BENCH FAILED: bench_fig10_autopilot" >&2
-    fi
-    echo ""
-    echo "##### bench_fig11_attribution (--small --json) #####"
-    # shellcheck disable=SC2086
-    if build/bench/$FIG11 --json reports/bench_fig11_attribution.json; then
-        collected="$collected reports/bench_fig11_attribution.json"
-    else
-        echo "BENCH FAILED: bench_fig11_attribution" >&2
-    fi
-    echo ""
-    echo "##### bench_fig12_resilience (--small --json) #####"
-    # shellcheck disable=SC2086
-    if build/bench/$FIG12 --json reports/bench_fig12_resilience.json; then
-        collected="$collected reports/bench_fig12_resilience.json"
-    else
-        echo "BENCH FAILED: bench_fig12_resilience" >&2
-    fi
-    echo ""
-    echo "##### bench_fig13_fleet (--small --json) #####"
-    # shellcheck disable=SC2086
-    if build/bench/$FIG13 --json reports/bench_fig13_fleet.json; then
-        collected="$collected reports/bench_fig13_fleet.json"
-    else
-        echo "BENCH FAILED: bench_fig13_fleet" >&2
-    fi
-    echo ""
-    echo "##### bench_fig14_sketch (--small --json) #####"
-    # shellcheck disable=SC2086
-    if build/bench/$FIG14 --json reports/bench_fig14_sketch.json; then
-        collected="$collected reports/bench_fig14_sketch.json"
-    else
-        echo "BENCH FAILED: bench_fig14_sketch" >&2
-    fi
+    for b in $SMALL_BENCHES; do
+        echo ""
+        echo "##### $b (--small --json) #####"
+        if "build/bench/$b" --small --json "reports/$b.json"; then
+            collected="$collected reports/$b.json"
+        else
+            echo "BENCH FAILED: $b" >&2
+        fi
+    done
     # shellcheck disable=SC2086
     build/tools/report_tool merge BENCH_report.json $collected
     exit 0
@@ -121,23 +87,8 @@ for b in $PAPER_BENCHES bench_micro; do
     echo "##### build/bench/$b #####"
     "build/bench/$b" || echo "BENCH FAILED: $b"
 done
-echo ""
-echo "##### build/bench/$FIG10 #####"
-# shellcheck disable=SC2086
-build/bench/$FIG10 || echo "BENCH FAILED: bench_fig10_autopilot"
-echo ""
-echo "##### build/bench/$FIG11 #####"
-# shellcheck disable=SC2086
-build/bench/$FIG11 || echo "BENCH FAILED: bench_fig11_attribution"
-echo ""
-echo "##### build/bench/$FIG12 #####"
-# shellcheck disable=SC2086
-build/bench/$FIG12 || echo "BENCH FAILED: bench_fig12_resilience"
-echo ""
-echo "##### build/bench/$FIG13 #####"
-# shellcheck disable=SC2086
-build/bench/$FIG13 || echo "BENCH FAILED: bench_fig13_fleet"
-echo ""
-echo "##### build/bench/$FIG14 #####"
-# shellcheck disable=SC2086
-build/bench/$FIG14 || echo "BENCH FAILED: bench_fig14_sketch"
+for b in $SMALL_BENCHES; do
+    echo ""
+    echo "##### build/bench/$b --small #####"
+    "build/bench/$b" --small || echo "BENCH FAILED: $b"
+done

@@ -26,9 +26,6 @@ namespace cluster {
 /** Seeded message-level network behaviour between distinct nodes. */
 struct NetConfig
 {
-    /** Base one-way delay plus a uniform jitter draw per message. */
-    SimDuration delayBase = microseconds(60);
-    SimDuration delayJitter = microseconds(60);
     double lossRate = 0; ///< P(message silently dropped)
     double dupRate = 0;  ///< P(message delivered twice)
 };
@@ -41,26 +38,10 @@ struct ClusterConfig
     /** Keys per shard; key k lives on node k / rowsPerShard. */
     int rowsPerShard = 2000;
     int tenants = 4;
-    /** Logical cores per node (fleet nodes are small boxes). */
-    int coresPerNode = 8;
 
     // ----- open-loop arrival processes (per tenant)
     /** Mean arrivals per tenant per millisecond (diurnal midpoint). */
     double arrivalsPerMs = 3.0;
-    /** Diurnal modulation amplitude in [0,1): rate(t) swings
-     * +/- this fraction over one diurnalPeriod. */
-    double diurnalAmplitude = 0.5;
-    SimDuration diurnalPeriod = milliseconds(40);
-    /** Flash crowd: tenant 0's rate is multiplied by this factor
-     * inside [flashStart, flashStart + flashDuration). */
-    double flashFactor = 3.0;
-    SimTime flashStart = milliseconds(20);
-    SimDuration flashDuration = milliseconds(8);
-
-    /** Fraction of transactions spanning more than one shard. */
-    double crossShardFraction = 0.35;
-    /** Zipf skew of key choice within a shard. */
-    double zipfTheta = 0.6;
 
     // ----- chaos regime
     /** Expected crashes per node over the arrival window. */
@@ -77,16 +58,7 @@ struct ClusterConfig
     SimDuration prepareBackoffBase = microseconds(300);
     SimDuration prepareBackoffCap = milliseconds(4);
     int prepareAttempts = 6;
-    SimDuration decisionBackoffBase = microseconds(300);
-    SimDuration decisionBackoffCap = milliseconds(4);
-    int decisionAttempts = 10;
-    SimDuration inquiryBackoffBase = microseconds(500);
-    SimDuration inquiryBackoffCap = milliseconds(4);
     SimDuration lockTimeout = milliseconds(2);
-    /** Client gives up waiting for an outcome after this long (the
-     * transaction itself still resolves via recovery/inquiry). */
-    SimDuration clientDeadline = milliseconds(30);
-    int clientRetries = 3;
 
     /**
      * Per-shard sketch telemetry (src/stats_sketch): the fleet keeps

@@ -6,6 +6,7 @@
 #include <set>
 
 #include "core/backoff.h"
+#include "core/digest.h"
 #include "core/fault.h"
 
 namespace dbsens {
@@ -13,18 +14,36 @@ namespace cluster {
 
 namespace {
 
-/** Fold a database's per-table digests into one value. */
+// Open-loop arrival shape (per tenant).
+/** Diurnal modulation amplitude in [0,1): rate(t) swings +/- this
+ * fraction over one kDiurnalPeriod. */
+constexpr double kDiurnalAmplitude = 0.5;
+constexpr SimDuration kDiurnalPeriod = milliseconds(40);
+/** Flash crowd: tenant 0's rate is multiplied by this factor inside
+ * [kFlashStart, kFlashStart + kFlashDuration). */
+constexpr double kFlashFactor = 3.0;
+constexpr SimTime kFlashStart = milliseconds(20);
+constexpr SimDuration kFlashDuration = milliseconds(8);
+/** Fraction of transactions spanning more than one shard. */
+constexpr double kCrossShardFraction = 0.35;
+/** Zipf skew of key choice within a shard. */
+constexpr double kZipfTheta = 0.6;
+
+/** Client gives up waiting for an outcome after this long (the
+ * transaction itself still resolves via recovery/inquiry). */
+constexpr SimDuration kClientDeadline = milliseconds(30);
+constexpr int kClientRetries = 3;
+
+/** Fold a database's per-table digests into one value: FNV-1a over
+ * each name's bytes, then the whole per-table digest word. */
 uint64_t
 foldDigest(const std::map<std::string, uint64_t> &per_table)
 {
-    uint64_t h = 1469598103934665603ULL;
+    uint64_t h = kFnvBasis;
     for (const auto &[name, d] : per_table) {
-        for (char c : name) {
-            h ^= uint64_t(uint8_t(c));
-            h *= 1099511628211ULL;
-        }
+        h = fnv1a(name.data(), name.size(), h);
         h ^= d;
-        h *= 1099511628211ULL;
+        h *= kFnvPrime;
     }
     return h;
 }
@@ -54,7 +73,7 @@ Fleet::Fleet(const ClusterConfig &cfg)
       net_(loop_, cfg.net, deriveNodeFaultSeed(cfg.seed, 1000)),
       arrivalRng_(deriveNodeFaultSeed(cfg.seed, 2000)),
       chaosRng_(deriveNodeFaultSeed(cfg.seed, 3000)),
-      zipf_(uint64_t(cfg.rowsPerShard), cfg.zipfTheta)
+      zipf_(uint64_t(cfg.rowsPerShard), kZipfTheta)
 {
     if (cfg.sketch) {
         const uint64_t sseed = cfg.seed ^ 0x5eedf1ee7ULL;
@@ -84,11 +103,10 @@ Fleet::rateAt(int tenant, SimTime t) const
 {
     const double base = cfg_.arrivalsPerMs / double(milliseconds(1));
     const double phase =
-        2.0 * M_PI * double(t) / double(cfg_.diurnalPeriod);
-    double r = base * (1.0 + cfg_.diurnalAmplitude * std::sin(phase));
-    if (tenant == 0 && t >= cfg_.flashStart &&
-        t < cfg_.flashStart + cfg_.flashDuration)
-        r *= cfg_.flashFactor;
+        2.0 * M_PI * double(t) / double(kDiurnalPeriod);
+    double r = base * (1.0 + kDiurnalAmplitude * std::sin(phase));
+    if (tenant == 0 && t >= kFlashStart && t < kFlashStart + kFlashDuration)
+        r *= kFlashFactor;
     return r;
 }
 
@@ -98,9 +116,9 @@ Fleet::drawArrivals(int tenant, std::vector<Arrival> &out)
     // Thinned Poisson process: draw candidates at the peak rate and
     // accept with rate(t)/peak, giving the diurnal + flash shape.
     double peak = cfg_.arrivalsPerMs / double(milliseconds(1)) *
-                  (1.0 + cfg_.diurnalAmplitude);
+                  (1.0 + kDiurnalAmplitude);
     if (tenant == 0)
-        peak *= std::max(1.0, cfg_.flashFactor);
+        peak *= kFlashFactor;
     double t = 0;
     while (true) {
         t += arrivalRng_.exponential(1.0 / peak);
@@ -118,7 +136,7 @@ Fleet::drawArrivals(int tenant, std::vector<Arrival> &out)
                            int64_t(zipf_(arrivalRng_));
         int s2 = s1;
         if (cfg_.nodes > 1 &&
-            arrivalRng_.chance(cfg_.crossShardFraction)) {
+            arrivalRng_.chance(kCrossShardFraction)) {
             s2 = int(arrivalRng_.uniform(uint64_t(cfg_.nodes - 1)));
             if (s2 >= s1)
                 ++s2;
@@ -160,11 +178,11 @@ Fleet::clientTask(Arrival a)
         }
     }
 
-    for (int attempt = 0; attempt <= cfg_.clientRetries; ++attempt) {
+    for (int attempt = 0; attempt <= kClientRetries; ++attempt) {
         const int coordNode = router_.route(a.ops[0].key);
         ClusterNode &coord = *nodes_[size_t(coordNode)];
         if (!coord.up()) {
-            if (attempt == cfg_.clientRetries) {
+            if (attempt == kClientRetries) {
                 ++ten.rejected;
                 co_return;
             }
@@ -195,7 +213,7 @@ Fleet::clientTask(Arrival a)
             coord.submitCoordinated(gtid, std::move(branches), done);
         }
 
-        const SimTime deadline = loop_.now() + cfg_.clientDeadline;
+        const SimTime deadline = loop_.now() + kClientDeadline;
         while (*slot == TxnOutcome::Pending && loop_.now() < deadline)
             co_await SimDelay(loop_, microseconds(200));
 
@@ -216,7 +234,7 @@ Fleet::clientTask(Arrival a)
             co_return;
         }
         // Decided abort: safe to retry with a fresh gtid.
-        if (attempt == cfg_.clientRetries) {
+        if (attempt == kClientRetries) {
             ++ten.aborted;
             co_return;
         }

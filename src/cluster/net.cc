@@ -3,6 +3,14 @@
 namespace dbsens {
 namespace cluster {
 
+namespace {
+
+/** Base one-way delay plus a uniform jitter draw per message. */
+constexpr SimDuration kDelayBase = microseconds(60);
+constexpr SimDuration kDelayJitter = microseconds(60);
+
+} // namespace
+
 void
 NetModel::deliverAt(SimTime t, int to, std::function<void()> fn)
 {
@@ -35,17 +43,13 @@ NetModel::send(int from, int to, std::function<void()> fn)
         return;
     }
     const SimDuration jitter =
-        cfg_.delayJitter > 0
-            ? SimDuration(rng_.uniform(uint64_t(cfg_.delayJitter)))
-            : 0;
-    const SimTime t = loop_.now() + cfg_.delayBase + jitter;
+        SimDuration(rng_.uniform(uint64_t(kDelayJitter)));
+    const SimTime t = loop_.now() + kDelayBase + jitter;
     if (cfg_.dupRate > 0 && rng_.chance(cfg_.dupRate)) {
         ++duplicated_;
         const SimDuration jitter2 =
-            cfg_.delayJitter > 0
-                ? SimDuration(rng_.uniform(uint64_t(cfg_.delayJitter)))
-                : 0;
-        deliverAt(t + cfg_.delayBase + jitter2, to, fn);
+            SimDuration(rng_.uniform(uint64_t(kDelayJitter)));
+        deliverAt(t + kDelayBase + jitter2, to, fn);
     }
     deliverAt(t, to, std::move(fn));
 }

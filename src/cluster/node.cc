@@ -9,6 +9,19 @@
 namespace dbsens {
 namespace cluster {
 
+namespace {
+
+/** Logical cores per node (fleet nodes are small boxes). */
+constexpr int kCoresPerNode = 8;
+/** Coordinator decision resends, then the inquiry loop's backoff. */
+constexpr SimDuration kDecisionBackoffBase = microseconds(300);
+constexpr SimDuration kDecisionBackoffCap = milliseconds(4);
+constexpr int kDecisionAttempts = 10;
+constexpr SimDuration kInquiryBackoffBase = microseconds(500);
+constexpr SimDuration kInquiryBackoffCap = milliseconds(4);
+
+} // namespace
+
 ClusterNode::ClusterNode(int id, const ClusterConfig &cfg,
                          EventLoop &loop, NetModel &net)
     : id_(id), cfg_(cfg), loop_(loop), net_(net)
@@ -41,7 +54,7 @@ RunConfig
 ClusterNode::nodeRunConfig(bool first) const
 {
     RunConfig rc;
-    rc.cores = cfg_.coresPerNode;
+    rc.cores = kCoresPerNode;
     rc.maxdop = 1;
     rc.seed = deriveNodeFaultSeed(cfg_.seed, id_);
     rc.prewarmBufferPool = first;
@@ -366,7 +379,7 @@ Task<void>
 ClusterNode::decisionSender(uint64_t gtid)
 {
     const bool commit = decisionLog_.count(gtid) > 0;
-    for (int attempt = 1; attempt <= cfg_.decisionAttempts; ++attempt) {
+    for (int attempt = 1; attempt <= kDecisionAttempts; ++attempt) {
         const std::vector<int> targets = pendingDecisionTargets(gtid);
         if (targets.empty())
             break;
@@ -378,9 +391,8 @@ ClusterNode::decisionSender(uint64_t gtid)
             net_.send(id_, n, [&peer, d] { peer.recvDecision(d); });
         }
         co_await SimDelay(loop_,
-                          cappedExpDelay(cfg_.decisionBackoffBase,
-                                         cfg_.decisionBackoffCap,
-                                         attempt));
+                          cappedExpDelay(kDecisionBackoffBase,
+                                         kDecisionBackoffCap, attempt));
     }
     // Unacked leftovers resolve via the participants' inquiry loops
     // (commit answers come from decisionLog_, the rest presume abort).
@@ -614,9 +626,8 @@ ClusterNode::inquiryLoop(uint64_t gtid)
 {
     for (int attempt = 1;; ++attempt) {
         co_await SimDelay(loop_,
-                          cappedExpDelay(cfg_.inquiryBackoffBase,
-                                         cfg_.inquiryBackoffCap,
-                                         attempt));
+                          cappedExpDelay(kInquiryBackoffBase,
+                                         kInquiryBackoffCap, attempt));
         auto it = branches_.find(gtid);
         const bool live_prepared =
             it != branches_.end() &&

@@ -8,6 +8,14 @@
 
 namespace dbsens {
 
+namespace {
+
+/** Capped-exponential backoff between SSD I/O re-issues. */
+constexpr SimDuration kIoRetryBase = microseconds(50);
+constexpr SimDuration kIoRetryCap = milliseconds(5);
+
+} // namespace
+
 FaultInjector::FaultInjector(const FaultConfig &cfg)
     : cfg_(cfg), rngIo_(SplitMix64(cfg.seed ^ 0x10ULL).next()),
       rngTorn_(SplitMix64(cfg.seed ^ 0x20ULL).next()),
@@ -160,8 +168,7 @@ FaultInjector::drawTornPage()
 SimDuration
 FaultInjector::ioRetryBackoff(int attempt)
 {
-    return cappedExpBackoff(cfg_.ioRetryBase, cfg_.ioRetryCap, attempt,
-                            rngJitter_);
+    return cappedExpBackoff(kIoRetryBase, kIoRetryCap, attempt, rngJitter_);
 }
 
 void

@@ -58,11 +58,8 @@ struct FaultConfig
 
     // Transient SSD faults (drawn per I/O request).
     double ssdErrorRate = 0; ///< P(request fails and must be retried)
-    double ssdStallRate = 0; ///< P(request hiccups for ssdStallNs)
-    double ssdStallNs = 2.0e6;
+    double ssdStallRate = 0; ///< P(request hiccups for 2 ms)
     int maxIoRetries = 5;
-    SimDuration ioRetryBase = microseconds(50);
-    SimDuration ioRetryCap = milliseconds(5);
 
     /** P(a buffer-pool miss returns a torn page, forcing a re-read). */
     double tornPageRate = 0;

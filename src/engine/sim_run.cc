@@ -190,18 +190,6 @@ SimRun::SimRun(Database &db, const RunConfig &cfg, EventLoop *ext)
         // ladder; later actuations (autopilot / resilience) report
         // through the same tap below.
         sketch->noteGrantCapacity(queryGrantBytes());
-        // Behaviour hooks only when explicitly asked for — at the
-        // neutral defaults the hub purely observes.
-        if (cfg.sketch.hotTimeoutFactor != 1.0)
-            locks.setHotHint(
-                [this](TableId t, RowId r) {
-                    return sketch->isHotRow(uint64_t(t), uint64_t(r));
-                },
-                cfg.sketch.hotTimeoutFactor);
-        if (cfg.sketch.pinBias)
-            pool.setPinBias([this](PageId p) {
-                return sketch->isHotPage(uint64_t(p));
-            });
     }
 
     if (cfg.obs.enabled) {
@@ -286,11 +274,7 @@ SimRun::SimRun(Database &db, const RunConfig &cfg, EventLoop *ext)
         act.setLlcMask = [this](int cos, uint32_t mask) {
             llc.setCosWayMask(cos, mask);
         };
-        act.setGrantCapacity = [this](uint64_t bytes) {
-            grants.setCapacity(bytes);
-            if (sketch)
-                sketch->noteGrantCapacity(bytes);
-        };
+        act.setGrantCapacity = [this](uint64_t b) { setGrantCapacity(b); };
         act.stats = &stats;
         act.progressStat[kTenantOltp] = "run.txns_committed";
         act.progressStat[kTenantOlap] = "run.olap_useful_ns";
@@ -317,11 +301,7 @@ SimRun::SimRun(Database &db, const RunConfig &cfg, EventLoop *ext)
             hooks.sloViolations = [this] {
                 return obs->slo().violations().size();
             };
-        hooks.setGrantCapacity = [this](uint64_t bytes) {
-            grants.setCapacity(bytes);
-            if (sketch)
-                sketch->noteGrantCapacity(bytes);
-        };
+        hooks.setGrantCapacity = [this](uint64_t b) { setGrantCapacity(b); };
         hooks.grantCapacity = [this] {
             return grants.capacityBytes();
         };
@@ -345,6 +325,14 @@ SimRun::SimRun(Database &db, const RunConfig &cfg, EventLoop *ext)
     loop.spawn(checkpointer(*this));
     if (cfg.deadlockPolicy == DeadlockPolicy::Detector)
         loop.spawn(deadlockMonitor(*this, cfg.deadlockCheckInterval));
+}
+
+void
+SimRun::setGrantCapacity(uint64_t bytes)
+{
+    grants.setCapacity(bytes);
+    if (sketch)
+        sketch->noteGrantCapacity(bytes);
 }
 
 void

@@ -75,8 +75,6 @@ struct RunConfig
      * (single fixed backoff, no retry accounting).
      */
     int txnRetryLimit = 0;
-    SimDuration txnRetryBackoffBase = microseconds(200);
-    SimDuration txnRetryBackoffCap = milliseconds(8);
     /**
      * Deadlock resolution: TimeoutOnly keeps the seed behaviour;
      * Detector runs a periodic waits-for-graph cycle search with the
@@ -120,9 +118,8 @@ struct RunConfig
     resil::ResilConfig resil;
     /**
      * Sketch statistics backbone (disabled ⇒ no SketchHub is built,
-     * no hooks installed, every tap site is gated on the null pointer
-     * — runs stay byte-identical). With the behaviour knobs at their
-     * neutral defaults an *enabled* hub only observes: it draws no
+     * every tap site is gated on the null pointer — runs stay
+     * byte-identical). An *enabled* hub only observes: it draws no
      * RNG, schedules no events, and simulated results are unchanged.
      * See src/stats_sketch/.
      */
@@ -324,6 +321,11 @@ class SimRun
     };
 
     SimRun(Database &db, const RunConfig &cfg, EventLoop *ext);
+
+    /** Grant-pool actuator shared by the autopilot and the resilience
+     * controller: resize the pool, then report the new capacity to
+     * the sketch resize ladder. */
+    void setGrantCapacity(uint64_t bytes);
 
     Database &db_;
     RunConfig cfg_;

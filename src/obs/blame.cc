@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "core/digest.h"
+
 namespace dbsens {
 namespace obs {
 
@@ -273,14 +275,11 @@ BlameLedger::queryRecord(const std::string &name, int tenant)
 uint64_t
 BlameLedger::digest() const
 {
-    uint64_t h = 1469598103934665603ull; // FNV-1a offset basis
+    uint64_t h = kFnvBasis;
     auto fold = [&h](double v) {
         uint64_t bits;
         std::memcpy(&bits, &v, sizeof bits);
-        for (int i = 0; i < 8; ++i) {
-            h ^= (bits >> (i * 8)) & 0xff;
-            h *= 1099511628211ull;
-        }
+        h = fnv1aWord(h, bits);
     };
     for (int t = 0; t < kBlameTenants; ++t) {
         fold(tenants_[t].makespanNs);

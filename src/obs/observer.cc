@@ -2,13 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
+#include "core/digest.h"
 #include "core/trace.h"
 
 namespace dbsens {
 namespace obs {
+
+namespace {
+
+/** Points each series holds before it downsamples in place. */
+constexpr size_t kSeriesCapacity = 512;
+
+} // namespace
 
 void
 AttributionResult::merge(const AttributionResult &other)
@@ -70,12 +77,7 @@ AttributionResult::merge(const AttributionResult &other)
                             os.points.end());
     }
     // Fold the phase digests so merged snapshots stay deterministic.
-    uint64_t h = digest ? digest : 1469598103934665603ull;
-    for (int i = 0; i < 8; ++i) {
-        h ^= (other.digest >> (i * 8)) & 0xff;
-        h *= 1099511628211ull;
-    }
-    digest = h;
+    digest = fnv1aWord(digest ? digest : kFnvBasis, other.digest);
 }
 
 void
@@ -123,10 +125,7 @@ AttributionResult::toJson() const
     j["enabled"] = Json(enabled);
     j["window_ms"] = Json(windowNs * 1e-6);
     j["sum_error"] = Json(sumError());
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  (unsigned long long)digest);
-    j["digest"] = Json(std::string(buf));
+    j["digest"] = Json(digestHex(digest));
 
     Json tens = Json::array();
     for (int t = 0; t < kBlameTenants; ++t) {
@@ -202,7 +201,7 @@ AttributionResult::toJson() const
 RunObserver::RunObserver(const ObsConfig &cfg, const StatsRegistry &reg,
                          std::function<SimTime()> now)
     : cfg_(cfg), reg_(reg), ledger_(std::move(now)),
-      hub_(reg, cfg.seriesCapacity)
+      hub_(reg, kSeriesCapacity)
 {
     for (int t = 0; t < kBlameTenants; ++t) {
         ledger_.setSessions(t, cfg_.sessions[t]);

@@ -39,7 +39,6 @@ struct ObsConfig
     SimDuration sampleEvery = seconds(1);
     /** Closed-loop sessions per tenant; 0 = auto-fill from workload. */
     int sessions[kBlameTenants] = {0, 0};
-    size_t seriesCapacity = 512;
     SloSpec slo[kBlameTenants];
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/digest.h"
 #include "core/logging.h"
 #include "core/trace.h"
 
@@ -9,17 +10,31 @@ namespace dbsens::resil {
 
 namespace {
 
-constexpr uint64_t kFnvPrime = 1099511628211ull;
+// Detector pressure weights.
+/** Pressure contributed per SLO violation observed this tick. */
+constexpr double kSloWeight = 1.0;
+/** Pressure while an SSD brownout window is active. */
+constexpr double kBrownoutWeight = 1.0;
+/** Pressure when SSD retries this tick reach kRetryStormThreshold. */
+constexpr double kRetryStormWeight = 1.0;
+constexpr int kRetryStormThreshold = 8;
+/** Pressure per grant-queue timeout shed this tick (capped at
+ * kShedCap sheds so a burst cannot dwarf every other signal). */
+constexpr double kShedWeight = 0.5;
+constexpr int kShedCap = 10;
 
-uint64_t
-fnv(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
+// Ladder actuation.
+/** Grant-pool capacity factor at kRungShrinkGrant+. */
+constexpr double kGrantShrinkFactor = 0.5;
+/** Token-bucket admission rate/burst per tenant at kRungAdmission+
+ * (work units per second; OLTP = txns, OLAP = queries). OLTP
+ * admission is bypassed at OLTP-priority. */
+constexpr double kAdmitRatePerSec[kNumTenants] = {20000.0, 200.0};
+constexpr double kAdmitBurst[kNumTenants] = {64.0, 4.0};
+/** OLAP rate multiplier while at OLTP-priority. */
+constexpr double kPriorityOlapFactor = 0.25;
+/** Cores leased to OLAP at OLTP-priority (low core ids). */
+constexpr int kPriorityOlapCores = 2;
 
 /** Digest event kinds (incident log records). */
 enum : uint64_t {
@@ -61,7 +76,7 @@ ResilResult::merge(const ResilResult &o)
     }
     // Chain phase digests the same way attribution does: order-
     // sensitive fold so the combined log stays bit-comparable.
-    incidentDigest = fnv(incidentDigest, o.incidentDigest);
+    incidentDigest = fnv1aWord(incidentDigest, o.incidentDigest);
     episodes.insert(episodes.end(), o.episodes.begin(),
                     o.episodes.end());
     transitions.insert(transitions.end(), o.transitions.begin(),
@@ -73,8 +88,7 @@ ResilController::ResilController(EventLoop &loop,
     : loop_(loop), cfg_(cfg), detector_(cfg_), ladder_(cfg_)
 {
     for (int t = 0; t < kNumTenants; ++t)
-        bucket_[t].configure(cfg_.admitRatePerSec[t],
-                             cfg_.admitBurst[t]);
+        bucket_[t].configure(kAdmitRatePerSec[t], kAdmitBurst[t]);
 }
 
 void
@@ -114,9 +128,9 @@ ResilController::readStat(const char *name) const
 void
 ResilController::fold(uint64_t kind, SimTime at, uint64_t payload)
 {
-    digest_ = fnv(digest_, kind);
-    digest_ = fnv(digest_, uint64_t(at));
-    digest_ = fnv(digest_, payload);
+    digest_ = fnv1aWord(digest_, kind);
+    digest_ = fnv1aWord(digest_, uint64_t(at));
+    digest_ = fnv1aWord(digest_, payload);
 }
 
 void
@@ -132,28 +146,28 @@ ResilController::tick()
     const double viol =
         hooks_.sloViolations ? double(hooks_.sloViolations()) : 0.0;
     if (viol > lastViol_) {
-        p += cfg_.sloWeight * (viol - lastViol_);
+        p += kSloWeight * (viol - lastViol_);
         causes |= kCauseSlo;
     }
     lastViol_ = viol;
 
     const double factor = readStat("ssd.brownout_factor");
     if (factor > 0 && factor < 1.0) {
-        p += cfg_.brownoutWeight;
+        p += kBrownoutWeight;
         causes |= kCauseBrownout;
     }
 
     const double retries = readStat("fault.ssd.retries");
-    if (retries - lastRetries_ >= double(cfg_.retryStormThreshold)) {
-        p += cfg_.retryStormWeight;
+    if (retries - lastRetries_ >= double(kRetryStormThreshold)) {
+        p += kRetryStormWeight;
         causes |= kCauseRetryStorm;
     }
     lastRetries_ = retries;
 
     const double sheds = readStat("grants.sheds_timeout");
     if (sheds > lastSheds_) {
-        p += cfg_.shedWeight *
-             std::min(sheds - lastSheds_, double(cfg_.shedCap));
+        p += kShedWeight *
+             std::min(sheds - lastSheds_, double(kShedCap));
         causes |= kCauseShed;
     }
     lastSheds_ = sheds;
@@ -220,7 +234,7 @@ ResilController::actuate(int from, int to)
                 hooks_.grantCapacity ? hooks_.grantCapacity() : 0;
             if (savedGrant_ > 0 && hooks_.setGrantCapacity)
                 hooks_.setGrantCapacity(uint64_t(
-                    double(savedGrant_) * cfg_.grantShrinkFactor));
+                    double(savedGrant_) * kGrantShrinkFactor));
         } else if (savedGrant_ > 0 && hooks_.setGrantCapacity) {
             hooks_.setGrantCapacity(savedGrant_);
         }
@@ -238,22 +252,18 @@ ResilController::actuate(int from, int to)
             // the machine (mask 0 = no lease) — the autopilot is
             // frozen, so nothing re-partitions underneath us.
             if (hooks_.setCoreLease) {
-                hooks_.setCoreLease(
-                    kTenantOlap,
-                    (uint64_t(1) << std::max(1, cfg_.priorityOlapCores)) -
-                        1);
+                hooks_.setCoreLease(kTenantOlap,
+                                    (uint64_t(1) << kPriorityOlapCores) - 1);
                 hooks_.setCoreLease(kTenantOltp, 0);
             }
             bucket_[kTenantOlap].configure(
-                cfg_.admitRatePerSec[kTenantOlap] *
-                    cfg_.priorityOlapFactor,
-                cfg_.admitBurst[kTenantOlap]);
+                kAdmitRatePerSec[kTenantOlap] * kPriorityOlapFactor,
+                kAdmitBurst[kTenantOlap]);
         } else {
             if (hooks_.restoreShares)
                 hooks_.restoreShares();
-            bucket_[kTenantOlap].configure(
-                cfg_.admitRatePerSec[kTenantOlap],
-                cfg_.admitBurst[kTenantOlap]);
+            bucket_[kTenantOlap].configure(kAdmitRatePerSec[kTenantOlap],
+                                           kAdmitBurst[kTenantOlap]);
         }
         break;
     }

@@ -27,6 +27,7 @@
 #include <functional>
 #include <string>
 
+#include "core/digest.h"
 #include "core/stats.h"
 #include "resil/detector.h"
 #include "resil/ladder.h"
@@ -86,7 +87,7 @@ class ResilController
     {
         if (tenant != kTenantOlap || rung() < kRungClampDop)
             return 0;
-        return rung() >= kRungOltpPriority ? 1 : cfg_.olapDopClamp;
+        return rung() >= kRungOltpPriority ? 1 : kOlapDopClamp;
     }
 
     /** Session-side re-admission backoff after the `attempt`-th
@@ -95,8 +96,7 @@ class ResilController
     SimDuration
     admitRetryDelay(int attempt) const
     {
-        return cappedExpDelay(cfg_.admitRetryBase, cfg_.admitRetryCap,
-                              attempt);
+        return cappedExpDelay(kAdmitRetryBase, kAdmitRetryCap, attempt);
     }
 
     bool incidentActive() const { return detector_.active(); }
@@ -109,6 +109,12 @@ class ResilController
     void registerStats(StatsRegistry &reg, const std::string &prefix);
 
   private:
+    /** OLAP MAXDOP clamp at kRungClampDop+ (1 at OLTP-priority). */
+    static constexpr int kOlapDopClamp = 2;
+    /** Session-side re-admission backoff after an admission shed. */
+    static constexpr SimDuration kAdmitRetryBase = microseconds(500);
+    static constexpr SimDuration kAdmitRetryCap = milliseconds(8);
+
     Task<void> tickLoop();
     void tick();
     void actuate(int from, int to);
@@ -133,7 +139,7 @@ class ResilController
     uint64_t admitted_[kNumTenants] = {0, 0};
     uint64_t admitSheds_[kNumTenants] = {0, 0};
     std::vector<LadderTransition> transitions_;
-    uint64_t digest_ = 1469598103934665603ull; ///< FNV-1a offset basis
+    uint64_t digest_ = kFnvBasis;
 };
 
 } // namespace dbsens::resil

@@ -68,18 +68,6 @@ struct ResilConfig
     /** Consecutive calm ticks before the incident clears. */
     int exitTicks = 4;
 
-    /** Pressure contributed per SLO violation observed this tick. */
-    double sloWeight = 1.0;
-    /** Pressure while an SSD brownout window is active. */
-    double brownoutWeight = 1.0;
-    /** Pressure when SSD retries this tick reach the storm bar. */
-    double retryStormWeight = 1.0;
-    int retryStormThreshold = 8;
-    /** Pressure per grant-queue timeout shed this tick (capped at
-     * shedCap sheds so a burst cannot dwarf every other signal). */
-    double shedWeight = 0.5;
-    int shedCap = 10;
-
     // --- degradation ladder ------------------------------------
     /** Hot ticks at the current rung before escalating. */
     int escalateTicks = 2;
@@ -90,25 +78,6 @@ struct ResilConfig
     int holdShiftCap = 3;
     /** Calm ticks at rung 0 that reset every rung's backoff. */
     int strikeResetTicks = 64;
-
-    // --- actuation ---------------------------------------------
-    /** OLAP MAXDOP clamp at kRungClampDop+ (1 at OLTP-priority). */
-    int olapDopClamp = 2;
-    /** Grant-pool capacity factor at kRungShrinkGrant+. */
-    double grantShrinkFactor = 0.5;
-    /** Token-bucket admission rate/burst per tenant at
-     * kRungAdmission+ (work units per second; OLTP = txns, OLAP =
-     * queries). OLTP admission is bypassed at OLTP-priority. */
-    double admitRatePerSec[kNumTenants] = {20000.0, 200.0};
-    double admitBurst[kNumTenants] = {64.0, 4.0};
-    /** OLAP rate multiplier while at OLTP-priority. */
-    double priorityOlapFactor = 0.25;
-    /** Cores leased to OLAP at OLTP-priority (low core ids). */
-    int priorityOlapCores = 2;
-
-    /** Session-side re-admission backoff after an admission shed. */
-    SimDuration admitRetryBase = microseconds(500);
-    SimDuration admitRetryCap = milliseconds(8);
 };
 
 /** One detected incident episode. end == 0 while still open. */

@@ -8,6 +8,13 @@
 
 namespace dbsens {
 
+namespace {
+
+/** Length of one transient device stall (firmware hiccup). */
+constexpr SimDuration kSsdStall = milliseconds(2);
+
+} // namespace
+
 SimDuration
 SsdModel::reserve(SimTime &channel_free, double bw, uint64_t bytes)
 {
@@ -54,8 +61,7 @@ SsdModel::injectIoFaults(bool is_read, uint64_t bytes)
 {
     // Transient device stall (firmware hiccup): pure extra latency.
     if (faults_->drawSsdStall())
-        co_await SimDelay(
-            loop_, SimDuration(faults_->config().ssdStallNs));
+        co_await SimDelay(loop_, kSsdStall);
 
     // Transient error detected at completion: back off (capped
     // exponential + seeded jitter) and re-issue the transfer, which

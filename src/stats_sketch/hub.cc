@@ -3,6 +3,15 @@
 namespace dbsens {
 namespace sketch {
 
+namespace {
+
+/** Hot-row tracker partitions per table. */
+constexpr uint32_t kHotParts = 8;
+/** Grant-capacity drop ratio per sketch shed rung. */
+constexpr double kShrinkGrantFrac = 0.5;
+
+} // namespace
+
 SketchHub::SketchHub(const SketchConfig &cfg)
     : cfg_(cfg), pageHeat_(cfg.hotWidth, cfg.cmsDepth,
                            cfg.seed ^ 0x7061676573ULL),
@@ -45,7 +54,7 @@ SketchHub::noteRowAccess(uint64_t tableId, uint64_t row)
     auto &slot = rowHeat_[tableId];
     if (!slot)
         slot = std::make_unique<PartitionedCms>(
-            cfg_.hotParts, cfg_.hotWidth, cfg_.cmsDepth,
+            kHotParts, cfg_.hotWidth, cfg_.cmsDepth,
             cfg_.seed ^ (tableId * 0x9e3779b97f4a7c15ULL));
     ++rowAccesses_;
     slot->update(row);
@@ -73,15 +82,6 @@ SketchHub::notePageAccess(uint64_t page)
 {
     ++pageAccesses_;
     pageHeat_.update(page);
-}
-
-bool
-SketchHub::isHotPage(uint64_t page) const
-{
-    const uint64_t total = pageHeat_.total();
-    return total >= cfg_.hotMinTotal &&
-           double(pageHeat_.estimate(page)) >=
-               cfg_.hotFraction * double(total);
 }
 
 const PartitionedCms *
@@ -118,7 +118,7 @@ SketchHub::noteGrantCapacity(uint64_t bytes)
 {
     if (grantBaseline_ == 0) {
         grantBaseline_ = bytes;
-        nextShrinkBelow_ = double(bytes) * cfg_.shrinkGrantFrac;
+        nextShrinkBelow_ = double(bytes) * kShrinkGrantFrac;
         return;
     }
     // Each crossing of the next rung sheds one halving everywhere;
@@ -131,22 +131,22 @@ SketchHub::noteGrantCapacity(uint64_t bytes)
         step.eps = pageHeat_.epsilon();
         step.bytes = this->bytes();
         resizeLog_.push_back(step);
-        nextShrinkBelow_ *= cfg_.shrinkGrantFrac;
+        nextShrinkBelow_ *= kShrinkGrantFrac;
     }
 }
 
 bool
 SketchHub::shrinkAll()
 {
-    bool any = pageHeat_.shrink(cfg_.minWidth);
+    bool any = pageHeat_.shrink(kMinCmsWidth);
     for (auto &[id, t] : rowHeat_)
-        any = t->shrink(cfg_.minWidth) || any;
+        any = t->shrink(kMinCmsWidth) || any;
     for (auto &[name, c] : columns_) {
-        any = c->cms.shrink(cfg_.minWidth) || any;
-        any = c->kll.shrink(cfg_.minK) || any;
+        any = c->cms.shrink(kMinCmsWidth) || any;
+        any = c->kll.shrink(kMinKllK) || any;
     }
     for (auto &l : lat_)
-        any = l.shrink(cfg_.minK) || any;
+        any = l.shrink(kMinKllK) || any;
     return any;
 }
 
@@ -177,8 +177,8 @@ SketchHub::occupancy() const
 uint64_t
 SketchHub::digest() const
 {
-    uint64_t h = 1469598103934665603ull;
-    auto fold = [&h](uint64_t d) { h = fnv1a(&d, sizeof d, h); };
+    uint64_t h = kFnvBasis;
+    auto fold = [&h](uint64_t d) { h = fnv1aWord(h, d); };
     fold(pageHeat_.digest());
     for (const auto &[id, t] : rowHeat_) {
         fold(id);

@@ -13,11 +13,9 @@
  *      partials merged in morsel order) and queried for literal
  *      selectivities in place of the static heuristics;
  *
- *  (b) hot-key detection: a per-table PartitionedCms over row ids fed
- *      from the transaction path, consulted by the lock manager
- *      (early deadlock-victim hints: hot-row waiters get a shortened
- *      timeout) and the buffer pool (pin-set bias: hot pages get a
- *      second chance before eviction);
+ *  (b) hot-key detection: a per-table PartitionedCms over row ids and
+ *      a page-heat sketch, both fed from the transaction path; they
+ *      only observe (hot-hit counts, occupancy, digests);
  *
  *  (c) per-tenant resource-usage quantiles: KLL latency summaries
  *      registered as `sketch.*` gauges, read by the autopilot's probe
@@ -26,10 +24,8 @@
  *      and partition-split exactness at the router.
  *
  * The hub never draws from workload RNG streams, never schedules
- * events, and all its updates are pure bookkeeping — with the
- * behaviour hooks (hotTimeoutFactor, pinBias) left at their neutral
- * defaults, an enabled hub only *observes* and simulated results are
- * unchanged.
+ * events, and all its updates are pure bookkeeping: an enabled hub
+ * only *observes* and simulated results are unchanged.
  */
 
 #ifndef DBSENS_STATS_SKETCH_HUB_H
@@ -58,7 +54,6 @@ struct SketchConfig
     uint32_t cmsDepth = 4;    ///< rows; bound fails w.p. exp(-depth)
     uint32_t kllK = 200;      ///< quantile compaction budget
     uint32_t hotWidth = 4096; ///< hot-row/page tracker width
-    uint32_t hotParts = 8;    ///< hot-row tracker partitions
     uint64_t seed = 0x5eed5ce7c4ULL;
 
     // --- hot-key policy ---
@@ -66,26 +61,6 @@ struct SketchConfig
     double hotFraction = 0.02;
     /** ... and at least this many accesses were tracked. */
     uint64_t hotMinTotal = 512;
-    /**
-     * Lock-wait budget multiplier for waiters parked on a hot row
-     * (early deadlock-victim hint). 1.0 (default) installs no hook
-     * at all — observation only.
-     */
-    double hotTimeoutFactor = 1.0;
-    /** Buffer-pool second-chance bias for hot pages (default off). */
-    bool pinBias = false;
-
-    // --- grant-pressure resize ladder ---
-    /**
-     * When the grant-pool capacity drops to this fraction of its
-     * first-seen value, every sketch sheds one rung (CMS width and
-     * KLL budget halve); each further drop by the same fraction sheds
-     * another. The accuracy cost is quantified: epsilon doubles per
-     * rung and the KLL rank-error budget absorbs the recompactions.
-     */
-    double shrinkGrantFrac = 0.5;
-    uint32_t minWidth = 64; ///< CMS fold floor
-    uint32_t minK = 16;     ///< KLL budget floor
 };
 
 /** Harness-facing summary for OltpRunResult / reports. */
@@ -154,7 +129,6 @@ class SketchHub
     void noteRowAccess(uint64_t tableId, uint64_t row);
     bool isHotRow(uint64_t tableId, uint64_t row) const;
     void notePageAccess(uint64_t page);
-    bool isHotPage(uint64_t page) const;
 
     uint64_t rowAccesses() const { return rowAccesses_; }
     uint64_t pageAccesses() const { return pageAccesses_; }
@@ -176,8 +150,16 @@ class SketchHub
 
     // ----- grant-pressure resize ladder -----
 
-    /** Engine grant-capacity tap (autopilot + resilience actuation
-     * both report through here). First call fixes the baseline. */
+    /**
+     * Engine grant-capacity tap (autopilot + resilience actuation
+     * both report through here). First call fixes the baseline. When
+     * the capacity drops to kShrinkGrantFrac of it, every sketch
+     * sheds one rung (CMS width and KLL budget halve, not below
+     * kMinCmsWidth / kMinKllK); each further drop by the same
+     * fraction sheds another. The accuracy cost is quantified:
+     * epsilon doubles per rung and the KLL rank-error budget absorbs
+     * the recompactions.
+     */
     void noteGrantCapacity(uint64_t bytes);
 
     int resizes() const { return resizes_; }

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "stats_sketch/sketch.h"
+#include "core/digest.h"
 
 namespace dbsens {
 namespace sketch {

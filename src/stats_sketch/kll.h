@@ -33,6 +33,9 @@
 namespace dbsens {
 namespace sketch {
 
+/** Compaction-budget floor of the grant-pressure shrink ladder. */
+constexpr uint32_t kMinKllK = 16;
+
 /** Seeded, mergeable, resizable quantile sketch over doubles. */
 class KllSketch
 {
@@ -74,7 +77,7 @@ class KllSketch
      * rankErrorBound() — the quantified accuracy price of the
      * memory cut. Returns true if the budget changed.
      */
-    bool shrink(uint32_t minK = 16);
+    bool shrink(uint32_t minK = kMinKllK);
 
     /** Retained items as (value, weight), unsorted. */
     std::vector<std::pair<double, uint64_t>> weightedItems() const;

@@ -30,17 +30,6 @@ ceilPow2(uint32_t v)
 
 } // namespace
 
-uint64_t
-fnv1a(const void *data, size_t len, uint64_t h)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
 CountMinSketch::CountMinSketch(uint32_t width, uint32_t depth,
                                uint64_t seed)
     : width_(ceilPow2(width < 2 ? 2 : width)),
@@ -233,11 +222,9 @@ PartitionedCms::bytes() const
 uint64_t
 PartitionedCms::digest() const
 {
-    uint64_t h = 1469598103934665603ull;
-    for (const auto &p : parts_) {
-        const uint64_t d = p.digest();
-        h = fnv1a(&d, sizeof d, h);
-    }
+    uint64_t h = kFnvBasis;
+    for (const auto &p : parts_)
+        h = fnv1aWord(h, p.digest());
     return h;
 }
 

@@ -38,12 +38,17 @@
 #include <string>
 #include <vector>
 
+#include "core/digest.h"
+
 namespace dbsens {
 namespace sketch {
 
-/** FNV-1a over a byte range (digests for bit-identity checks). */
-uint64_t fnv1a(const void *data, size_t len,
-               uint64_t h = 1469598103934665603ull);
+/** Existing callers, the host-time benchmark among them, name the
+ * digest helper sketch::fnv1a. */
+using dbsens::fnv1a;
+
+/** Width floor of the ReSketch fold ladder. */
+constexpr uint32_t kMinCmsWidth = 64;
 
 /** Seeded count-min sketch over 64-bit keys. */
 class CountMinSketch
@@ -81,7 +86,7 @@ class CountMinSketch
      * direct build at the halved width; epsilon doubles. No-op at
      * `minWidth`. Returns true if the fold happened.
      */
-    bool shrink(uint32_t minWidth = 64);
+    bool shrink(uint32_t minWidth = kMinCmsWidth);
 
     uint32_t width() const { return width_; }
     uint32_t depth() const { return depth_; }
@@ -151,7 +156,7 @@ class PartitionedCms
     uint64_t total() const;
 
     /** Fold every partition (the grant-pressure ladder rung). */
-    bool shrink(uint32_t minWidth = 64);
+    bool shrink(uint32_t minWidth = kMinCmsWidth);
 
     size_t bytes() const;
     uint64_t digest() const;

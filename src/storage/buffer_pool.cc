@@ -135,19 +135,8 @@ BufferPool::makeRoom(uint64_t needed)
             vo.lruPos = lru_.insert(lru_.end(), victim);
             continue;
         }
-        if (pinBias_ && !vo.rescued && pinBias_(victim)) {
-            // Hot-page second chance: rotate to MRU once per
-            // residency. The flag bounds rotations, so the eviction
-            // loop still terminates.
-            vo.rescued = true;
-            ++pinRescues_;
-            lru_.pop_front();
-            vo.lruPos = lru_.insert(lru_.end(), victim);
-            continue;
-        }
         lru_.pop_front();
         vo.resident = false;
-        vo.rescued = false;
         used_ -= vo.bytes;
         if (vo.dirty) {
             vo.dirty = false;
@@ -303,9 +292,6 @@ BufferPool::registerStats(StatsRegistry &reg,
               "resident dirty bytes");
     reg.gauge(prefix + ".capacity_bytes",
               [this] { return double(capacity_); }, "pool capacity");
-    reg.gauge(prefix + ".pin_rescues",
-              [this] { return double(pinRescues_); },
-              "hot pages rescued from eviction by the pin-set bias");
 }
 
 uint64_t

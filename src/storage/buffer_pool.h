@@ -50,20 +50,6 @@ class BufferPool
     void setFaultInjector(FaultInjector *f) { faults_ = f; }
 
     /**
-     * Hot-page pin-set bias (src/stats_sketch): an eviction victim
-     * the hint marks hot gets one second chance — it rotates to the
-     * MRU end instead of being evicted, once per residency. Null
-     * (default) keeps plain LRU, bit-identical to the ungated pool.
-     */
-    void setPinBias(std::function<bool(PageId)> fn)
-    {
-        pinBias_ = std::move(fn);
-    }
-
-    /** Hot pages rescued from eviction by the pin-set bias. */
-    uint64_t pinRescues() const { return pinRescues_; }
-
-    /**
      * Page checksum covering identity and version (a stand-in for a
      * CRC over page contents: every logical modification bumps the
      * version, so a stale or partial on-disk image yields a mismatch).
@@ -157,8 +143,6 @@ class BufferPool
         bool resident = false;
         bool dirty = false;
         bool loading = false;
-        /** Already used its hot-page second chance this residency. */
-        bool rescued = false;
         /** Logical modification count (bumped by markDirty). */
         uint64_t version = 0;
         /** Checksum of the last consistent image. */
@@ -192,8 +176,6 @@ class BufferPool
     uint64_t diskReadBytes_ = 0;
     uint64_t writebackBytes_ = 0;
     uint64_t tornDetected_ = 0;
-    std::function<bool(PageId)> pinBias_;
-    uint64_t pinRescues_ = 0;
 };
 
 } // namespace dbsens

@@ -2,26 +2,11 @@
 
 #include <algorithm>
 
+#include "core/digest.h"
 #include "core/logging.h"
 #include "core/trace.h"
 
 namespace dbsens {
-
-namespace {
-
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t
-fnv(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-} // namespace
 
 Autopilot::Autopilot(EventLoop &loop, const TuneConfig &cfg,
                      const ResourceTotals &totals)
@@ -100,10 +85,10 @@ Autopilot::readProgress(int tenant) const
 void
 Autopilot::foldKnob(int tenant, int knob, uint64_t value)
 {
-    digest_ = fnv(digest_, uint64_t(epochs_));
-    digest_ = fnv(digest_, uint64_t(tenant));
-    digest_ = fnv(digest_, uint64_t(knob));
-    digest_ = fnv(digest_, value);
+    digest_ = fnv1aWord(digest_, uint64_t(epochs_));
+    digest_ = fnv1aWord(digest_, uint64_t(tenant));
+    digest_ = fnv1aWord(digest_, uint64_t(knob));
+    digest_ = fnv1aWord(digest_, value);
 }
 
 void
@@ -190,12 +175,10 @@ Autopilot::epochLoop()
             if (epochs_ >= cfg_.baselineEpochs) {
                 // Self-normalize: the even-split baseline scores
                 // ~kNumTenants, so the score is a sum of normalized
-                // per-tenant throughputs (explicit weights override).
+                // per-tenant throughputs.
                 for (int t = 0; t < kNumTenants; ++t) {
                     const double mean = rateSum_[t] / double(epochs_);
-                    weight_[t] = cfg_.weight[t] != 0
-                                     ? cfg_.weight[t]
-                                     : (mean > 0 ? 1.0 / mean : 0.0);
+                    weight_[t] = mean > 0 ? 1.0 / mean : 0.0;
                 }
                 weightsSet_ = true;
             }

@@ -29,6 +29,7 @@
 #include <memory>
 #include <string>
 
+#include "core/digest.h"
 #include "core/stats.h"
 #include "sim/event_loop.h"
 #include "sim/task.h"
@@ -149,7 +150,7 @@ class Autopilot
     double rateSum_[kNumTenants] = {0, 0};
     double lastProgress_[kNumTenants] = {0, 0};
     double lastRate_[kNumTenants] = {0, 0};
-    uint64_t digest_ = 1469598103934665603ull; ///< FNV-1a offset basis
+    uint64_t digest_ = kFnvBasis;
 };
 
 } // namespace dbsens

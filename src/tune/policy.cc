@@ -11,6 +11,9 @@ namespace {
  * (epochs are milliseconds), so weight recent epochs heavily. */
 constexpr double kEwmaAlpha = 0.5;
 
+/** Epochs a rolled-back move is skipped before being retried. */
+constexpr int kCooldownEpochs = 4;
+
 } // namespace
 
 ProbeAndShiftPolicy::ProbeAndShiftPolicy(const ResourceArbiter &arb,
@@ -141,7 +144,7 @@ ProbeAndShiftPolicy::onFreeze()
     // does not get re-trialed the moment the freeze lifts.
     if (mode_ == Mode::Trial) {
         ++rollbacks_;
-        cooldown_[trialMove_.name()] = cfg_.cooldownEpochs;
+        cooldown_[trialMove_.name()] = kCooldownEpochs;
     }
     // A half-finished probe pass is worthless (its deltas mix healthy
     // and incident epochs); drop it.
@@ -213,7 +216,7 @@ ProbeAndShiftPolicy::onEpoch(const EpochMetrics &m)
         if (lat_bad) {
             ++rollbacks_;
             ++latencyRollbacks_;
-            cooldown_[trialMove_.name()] = cfg_.cooldownEpochs;
+            cooldown_[trialMove_.name()] = kCooldownEpochs;
         } else if (m.score > ewma_ + margin) {
             ++shifts_;
             ++cycleShifts_;
@@ -232,7 +235,7 @@ ProbeAndShiftPolicy::onEpoch(const EpochMetrics &m)
             }
         } else {
             ++rollbacks_;
-            cooldown_[trialMove_.name()] = cfg_.cooldownEpochs;
+            cooldown_[trialMove_.name()] = kCooldownEpochs;
         }
         return nextCandidateOrHold();
       }

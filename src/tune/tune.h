@@ -117,7 +117,10 @@ struct TuneConfig
 
     /**
      * Baseline epochs before probing starts; also the window used to
-     * self-normalize the per-tenant score weights.
+     * self-normalize the per-tenant score weights: each becomes
+     * 1 / (tenant's mean rate over these epochs), so the even-split
+     * baseline scores ~= kNumTenants and the score is a sum of
+     * normalized per-tenant throughputs.
      */
     int baselineEpochs = 2;
 
@@ -127,17 +130,6 @@ struct TuneConfig
      * the shift is rolled back and the move cools down.
      */
     double hysteresis = 0.02;
-
-    /** Epochs a rolled-back move is skipped before being retried. */
-    int cooldownEpochs = 4;
-
-    /**
-     * Per-tenant score weights. 0 (default) self-normalizes: weight
-     * becomes 1 / (tenant's mean rate over the baseline epochs), so
-     * the even-split baseline scores ~= kNumTenants and the score is
-     * a sum of normalized per-tenant throughputs.
-     */
-    double weight[kNumTenants] = {0.0, 0.0};
 
     /** Deterministic seed (reserved for stochastic policies). */
     uint64_t seed = 1;

@@ -110,25 +110,12 @@ LockManager::acquire(TxnId txn, TableId table, RowId row, LockMode mode,
 
     const SimTime start = loop_.now();
 
-    // Hot-key hint: waits on skew-contended rows arm a shortened
-    // timer so the eventual victim is chosen before the hot queue
-    // grows behind it. factor == 1.0 (or a null hint) is the plain
-    // timeout.
-    SimDuration budget = timeout_;
-    if (hotHint_ && hotFactor_ != 1.0 && row != kInvalidRow &&
-        hotHint_(table, row)) {
-        budget = SimDuration(double(timeout_) * hotFactor_);
-        if (budget < SimDuration(1))
-            budget = SimDuration(1);
-        ++hotWaits_;
-    }
-
     // Timeout-based deadlock resolution: if the entry is still queued
     // when the timer fires, pull it out and resume with failure. The
     // waiter is identified by its unique id (never by pointer: a
     // granted-and-freed entry's address could be reused by a later
     // waiter on the same key).
-    loop_.after(budget, [this, key, waiter_id] {
+    loop_.after(timeout_, [this, key, waiter_id] {
         auto qit = queues_.find(key);
         if (qit == queues_.end())
             return;

@@ -30,7 +30,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -68,23 +67,6 @@ class LockManager
     /** Configure the wait budget (RunConfig::lockTimeout). */
     void setTimeout(SimDuration t) { timeout_ = t; }
     SimDuration timeout() const { return timeout_; }
-
-    /**
-     * Hot-key early-victim hint (src/stats_sketch): a waiter parking
-     * on a row the hint marks hot arms only `factor` of the normal
-     * timeout, so victims on skew-contended keys are chosen earlier —
-     * before they pile more waiters behind the hot row. Null
-     * (default) keeps byte-identical behaviour.
-     */
-    void
-    setHotHint(std::function<bool(TableId, RowId)> fn, double factor)
-    {
-        hotHint_ = std::move(fn);
-        hotFactor_ = factor;
-    }
-
-    /** Waits that armed the shortened hot-key timeout. */
-    uint64_t hotWaits() const { return hotWaits_; }
 
     /**
      * Acquire a lock on (table, row); row == kInvalidRow addresses
@@ -136,9 +118,6 @@ class LockManager
         reg.gauge(prefix + ".queues",
                   [this] { return double(queues_.size()); },
                   "resources with holders or waiters");
-        reg.gauge(prefix + ".hot_waits",
-                  [this] { return double(hotWaits_); },
-                  "waits armed with the hot-key shortened timeout");
     }
 
     // ----- consistency-audit views (src/verify): read-only summaries
@@ -206,9 +185,6 @@ class LockManager
     std::unordered_map<uint64_t, Queue> queues_;
     std::unordered_map<TxnId, std::vector<uint64_t>> held_;
     SimDuration timeout_ = kDefaultLockTimeout;
-    std::function<bool(TableId, RowId)> hotHint_;
-    double hotFactor_ = 1.0;
-    uint64_t hotWaits_ = 0;
     uint64_t timeouts_ = 0;
     uint64_t deadlocks_ = 0;
     uint64_t grants_ = 0;

@@ -1,9 +1,9 @@
 #include "verify/chaos.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
+#include "core/digest.h"
 #include "core/random.h"
 #include "workloads/asdb/asdb.h"
 #include "workloads/htap/htap.h"
@@ -53,62 +53,39 @@ makeWorkload(const std::string &name, int sf)
     return nullptr;
 }
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-void
-mix64(uint64_t &h, uint64_t x)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (i * 8)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
-void
-mixStr(uint64_t &h, const std::string &s)
-{
-    for (char c : s) {
-        h ^= uint8_t(c);
-        h *= kFnvPrime;
-    }
-}
-
 /** Deterministic fingerprint of the final state + progress counters. */
 std::string
 stateDigest(Database &db, const OltpRunResult &r,
             const std::vector<uint64_t> &node_digests)
 {
-    uint64_t h = kFnvOffset;
+    uint64_t h = kFnvBasis;
     for (const auto &[name, d] : databaseDigest(db)) {
-        mixStr(h, name);
-        mix64(h, d);
+        h = fnv1a(name.data(), name.size(), h);
+        h = fnv1aWord(h, d);
     }
-    mix64(h, r.lockTimeouts);
-    mix64(h, r.deadlockAborts);
-    mix64(h, r.crashes);
-    mix64(h, r.txnsRetried);
-    mix64(h, r.txnsGivenUp);
-    mix64(h, r.fault.injected);
+    h = fnv1aWord(h, r.lockTimeouts);
+    h = fnv1aWord(h, r.deadlockAborts);
+    h = fnv1aWord(h, r.crashes);
+    h = fnv1aWord(h, r.txnsRetried);
+    h = fnv1aWord(h, r.txnsGivenUp);
+    h = fnv1aWord(h, r.fault.injected);
     // Fold the controller trajectories only when their subsystem ran:
     // legacy episodes (no tune/resil keys) keep their digests.
     if (r.tune.enabled)
-        mix64(h, r.tune.trajectoryDigest);
+        h = fnv1aWord(h, r.tune.trajectoryDigest);
     if (r.resil.enabled)
-        mix64(h, r.resil.incidentDigest);
+        h = fnv1aWord(h, r.resil.incidentDigest);
     // Cluster episodes fold every node's fleet digest in node order;
     // non-cluster episodes pass an empty vector and keep their
     // digests.
     for (uint64_t d : node_digests)
-        mix64(h, d);
+        h = fnv1aWord(h, d);
     uint64_t bits;
     std::memcpy(&bits, &r.tps, sizeof bits);
-    mix64(h, bits);
+    h = fnv1aWord(h, bits);
     std::memcpy(&bits, &r.aborts, sizeof bits);
-    mix64(h, bits);
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx", (unsigned long long)h);
-    return buf;
+    h = fnv1aWord(h, bits);
+    return digestHex(h);
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "core/digest.h"
+
 namespace dbsens {
 namespace verify {
 
@@ -124,39 +126,24 @@ auditIndexes(Database &db, AuditReport &rep)
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-inline void
-mix64(uint64_t &h, uint64_t x)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (i * 8)) & 0xff;
-        h *= kFnvPrime;
-    }
-}
-
 inline void
 mixValue(uint64_t &h, const Value &v)
 {
     switch (v.type()) {
       case TypeId::Int64:
-        mix64(h, uint64_t(v.asInt()));
+        h = fnv1aWord(h, uint64_t(v.asInt()));
         break;
       case TypeId::Double: {
         uint64_t bits;
         const double d = v.asDouble();
         std::memcpy(&bits, &d, sizeof bits);
-        mix64(h, bits);
+        h = fnv1aWord(h, bits);
         break;
       }
       case TypeId::String: {
         const std::string &s = v.asString();
-        for (char c : s) {
-            h ^= uint8_t(c);
-            h *= kFnvPrime;
-        }
-        mix64(h, s.size());
+        h = fnv1a(s.data(), s.size(), h);
+        h = fnv1aWord(h, s.size());
         break;
       }
     }
@@ -169,13 +156,13 @@ tableDataDigest(const Database::Table &t)
 {
     // Digest over live rows only: filler/deleted RowIds contribute
     // nothing, so the oracle's padding strategy cannot skew it.
-    uint64_t h = kFnvOffset;
+    uint64_t h = kFnvBasis;
     const TableData &d = *t.data;
     const size_t cols = d.schema().columnCount();
     for (RowId r = 0; r < d.rowCount(); ++r) {
         if (d.isDeleted(r))
             continue;
-        mix64(h, r);
+        h = fnv1aWord(h, r);
         for (ColumnId c = 0; c < ColumnId(cols); ++c)
             mixValue(h, d.column(c).get(r));
     }

@@ -447,9 +447,8 @@ TpceWorkload::session(SimRun &run, Database &db, uint64_t seed)
             co_await tx.rollback();
             if (attempt < run.config().txnRetryLimit) {
                 ++run.txnsRetried;
-                co_await SimDelay(
-                    run.loop,
-                    victimRetryBackoff(rng, attempt + 1, run.config()));
+                co_await SimDelay(run.loop,
+                                  victimRetryBackoff(rng, attempt + 1));
                 continue;
             }
             if (run.config().txnRetryLimit > 0)

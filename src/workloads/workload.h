@@ -59,16 +59,21 @@ retryBackoff(Rng &rng)
     return microseconds(int64_t(100 + rng.uniform(900)));
 }
 
+/** Base and cap of the lock-timeout victim retry backoff. */
+constexpr SimDuration kTxnRetryBackoffBase = microseconds(200);
+constexpr SimDuration kTxnRetryBackoffCap = milliseconds(8);
+
 /**
  * Back-off before the `attempt`-th retry of a lock-timeout victim:
- * capped exponential from RunConfig's base/cap plus seeded jitter
- * (up to half the deterministic delay). attempt >= 1.
+ * capped exponential from kTxnRetryBackoffBase to kTxnRetryBackoffCap
+ * plus seeded jitter (up to half the deterministic delay).
+ * attempt >= 1.
  */
 inline SimDuration
-victimRetryBackoff(Rng &rng, int attempt, const RunConfig &cfg)
+victimRetryBackoff(Rng &rng, int attempt)
 {
-    return cappedExpBackoff(cfg.txnRetryBackoffBase,
-                            cfg.txnRetryBackoffCap, attempt, rng);
+    return cappedExpBackoff(kTxnRetryBackoffBase, kTxnRetryBackoffCap,
+                            attempt, rng);
 }
 
 } // namespace dbsens

@@ -10,9 +10,12 @@
 #include <sstream>
 
 #include "core/calibration.h"
+#include "core/digest.h"
 #include "core/histogram.h"
 #include "core/random.h"
 #include "core/table_printer.h"
+#include "stats_sketch/kll.h"
+#include "stats_sketch/sketch.h"
 
 namespace dbsens {
 namespace {
@@ -222,6 +225,42 @@ TEST(Calibration, MemoryBudgetsArePositiveAndBounded)
     // (~128 real MB) does not.
     EXPECT_GT(calib::bufferPoolRealBytes(), 51ull << 20);
     EXPECT_LT(calib::bufferPoolRealBytes(), 128ull << 20);
+}
+
+// The digests below pin absolute values: every other digest test
+// compares two runs of one binary, which a changed hash would pass.
+// The offset basis is the repo's 1469598103934665603 (see
+// core/digest.h), so these are not textbook FNV-1a values.
+TEST(Digest, ByteFoldPinnedValues)
+{
+    EXPECT_EQ(sketch::fnv1a("", 0), 0x14650fb0739d0383ull);
+    EXPECT_EQ(sketch::fnv1a("a", 1), 0x44bd8ad473cd9906ull);
+    EXPECT_EQ(sketch::fnv1a("foobar", 6), 0x88fad7c0a8ff07f2ull);
+}
+
+TEST(Digest, ValueFoldIsLittleEndianByteFold)
+{
+    const unsigned char one_le[8] = {1, 0, 0, 0, 0, 0, 0, 0};
+    EXPECT_EQ(fnv1aWord(kFnvBasis, 1), 0x29034675a49f07c2ull);
+    EXPECT_EQ(fnv1a(one_le, sizeof one_le), 0x29034675a49f07c2ull);
+}
+
+TEST(Digest, HexIsSixteenLowerCaseDigits)
+{
+    EXPECT_EQ(digestHex(0x14650fb0739d0383ull), "14650fb0739d0383");
+    EXPECT_EQ(digestHex(1), "0000000000000001");
+}
+
+TEST(Digest, SketchDigestsPinned)
+{
+    sketch::CountMinSketch cms(256, 4, 7);
+    sketch::KllSketch kll(32, 5);
+    for (uint64_t i = 0; i < 5000; ++i) {
+        cms.update(i * i % 1000, 1 + i % 3);
+        kll.update(double(i * 7919 % 10007));
+    }
+    EXPECT_EQ(cms.digest(), 0xff89165e1d2d5049ull);
+    EXPECT_EQ(kll.digest(), 0xa80f2a8eeff2e317ull);
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <set>
 
+#include "core/digest.h"
 #include "core/fault.h"
 #include "engine/grant_gate.h"
 #include "engine/recovery.h"
@@ -32,10 +33,10 @@ namespace {
 uint64_t
 tableDigest(const Database::Table &t)
 {
-    uint64_t h = 1469598103934665603ULL;
+    uint64_t h = kFnvBasis;
     auto mix = [&h](uint64_t v) {
         h ^= v;
-        h *= 1099511628211ULL;
+        h *= kFnvPrime;
     };
     const TableData &d = *t.data;
     for (ColumnId c = 0; c < ColumnId(d.schema().columnCount()); ++c) {
