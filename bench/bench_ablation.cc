@@ -17,9 +17,6 @@
 
 #include "sweeps.h"
 
-#include "workloads/tpch/tpch_gen.h"
-#include "workloads/tpch/tpch_queries.h"
-
 namespace {
 
 using namespace dbsens;
@@ -67,16 +64,8 @@ main(int argc, char **argv)
     // ------------------------------------------------------------ A1/A2
     banner("A1/A2: LLC insertion policy and CAT masks (TPC-H SF=30)");
     {
-        auto db = tpch::generate(30);
-        ProfilingEnv env(*db);
-        AccessTrace trace;
-        RecordingFeed feed(trace);
-        for (int pass = 0; pass < 2; ++pass)
-            for (int q = 1; q <= tpch::kQueryCount; ++q) {
-                auto plan = tpch::query(q);
-                profileQuery(*db, *plan, tpchOptimizerConfig(32),
-                             &env.pool(), pass == 1 ? &feed : nullptr);
-            }
+        TpchDriver driver(30);
+        const AccessTrace &trace = driver.trace();
         TablePrinter t({"LLC MB", "miss (scan-resistant)",
                         "miss (LRU-like)"});
         double last_aged = 1.0;

@@ -136,10 +136,9 @@ memShareFor(const QueryProfile &profile, uint64_t grant_bytes)
 } // namespace
 
 ProfiledQuery
-profileQuery(Database &db, const PlanNode &logical,
-             const OptimizerConfig &cfg, BufferPool *pool,
-             CacheFeed *trace_feed, Chunk *result_out,
-             WorkerPool *workers)
+executeQuery(Database &db, const PlanNode &logical,
+             const OptimizerConfig &cfg, PageLog *page_log,
+             CacheFeed *trace_feed, Chunk *result_out, WorkerPool *workers)
 {
     ProfiledQuery out;
     PlanPtr plan = clonePlan(logical);
@@ -151,7 +150,7 @@ profileQuery(Database &db, const PlanNode &logical,
 
     ExecContext ctx;
     ctx.resolver = &db;
-    ctx.pool = pool;
+    ctx.pageLog = page_log;
     ctx.feed = trace_feed;
     ctx.profile = &out.profile;
     ctx.tempSpace = &db.space();
@@ -162,6 +161,34 @@ profileQuery(Database &db, const PlanNode &logical,
     out.profile.resultRows = result.rows();
     if (result_out)
         *result_out = std::move(result);
+    return out;
+}
+
+void
+applyPageLog(const PageLog &log, BufferPool &pool, QueryProfile *profile)
+{
+    for (const PageTouch &t : log) {
+        const BufferPool::TouchResult res = pool.touch(t.page);
+        if (profile) {
+            OpProfile &op = profile->ops[t.op];
+            op.ioReadBytes += res.readBytes * t.weight;
+            op.ioWriteBytes += res.writeBytes * t.weight;
+        }
+    }
+}
+
+ProfiledQuery
+profileQuery(Database &db, const PlanNode &logical,
+             const OptimizerConfig &cfg, BufferPool *pool,
+             CacheFeed *trace_feed, Chunk *result_out,
+             WorkerPool *workers)
+{
+    PageLog log;
+    ProfiledQuery out = executeQuery(db, logical, cfg,
+                                     pool ? &log : nullptr, trace_feed,
+                                     result_out, workers);
+    if (pool)
+        applyPageLog(log, *pool, &out.profile);
     return out;
 }
 

@@ -68,11 +68,30 @@ class ProfilingEnv
 
 /**
  * Optimize a copy of `logical` for `cfg` and execute it functionally,
- * producing the profile. `trace_feed` (optional) receives sampled
- * cache accesses; `pool` (optional) evolves buffer residency.
- * `workers` (optional) morselizes the wallclock compute across a
- * WorkerPool; the profile, trace, and result are identical for every
- * worker count (see ExecContext::workers).
+ * producing the profile. `page_log` (optional) receives the
+ * execution's buffer-pool page touches, unapplied, so the profile's
+ * I/O is still zero; `trace_feed` (optional) receives sampled cache
+ * accesses. `workers` (optional) morselizes the wallclock compute
+ * across a WorkerPool; the profile, trace, and result are identical
+ * for every worker count (see ExecContext::workers).
+ */
+ProfiledQuery executeQuery(Database &db, const PlanNode &logical,
+                           const OptimizerConfig &cfg, PageLog *page_log,
+                           CacheFeed *trace_feed = nullptr,
+                           Chunk *result_out = nullptr,
+                           WorkerPool *workers = nullptr);
+
+/**
+ * Replay an execution's page touches through `pool`, evolving its
+ * residency, and add the I/O each touch generated (times its weight)
+ * to its operator in `profile` (optional: null only warms the pool).
+ */
+void applyPageLog(const PageLog &log, BufferPool &pool,
+                  QueryProfile *profile);
+
+/**
+ * executeQuery, then applyPageLog through `pool` (optional), so the
+ * profile carries the I/O the execution generated against the pool.
  */
 ProfiledQuery profileQuery(Database &db, const PlanNode &logical,
                            const OptimizerConfig &cfg,

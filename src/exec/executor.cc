@@ -205,34 +205,8 @@ Executor::execScan(const PlanNode &n)
         out.col(out.columnCount() - 1).reserve(data.rowCount());
     }
 
-    // Visible rows, then column-at-a-time copies (one type dispatch
-    // per column instead of one per cell).
-    const RowId nrows = data.rowCount();
-    std::vector<RowId> alive;
-    alive.reserve(size_t(nrows));
-    for (RowId r = 0; r < nrows; ++r)
-        if (!data.isDeleted(r))
-            alive.push_back(r);
-    for (size_t c = 0; c < src.size(); ++c) {
-        auto &dst = out.col(c);
-        if (src[c]->type() == TypeId::Double) {
-            const std::vector<double> &s = src[c]->doubleData();
-            auto &d = dst.doubles();
-            for (RowId r : alive)
-                d.push_back(s[r]);
-        } else {
-            const std::vector<int64_t> &s = src[c]->intData();
-            auto &d = dst.ints();
-            for (RowId r : alive)
-                d.push_back(s[r]);
-        }
-    }
-    // Sampled cache touches, one per referenced column, emitted in
-    // the same (row-major) order as the interleaved loop produced so
-    // the simulated cache trace is unchanged.
-    for (RowId r : alive) {
-        if (r % kScanTouchStride != 0)
-            continue;
+    // Sampled cache touch addresses, one per referenced column.
+    auto touchRow = [&](RowId r) {
         for (size_t c = 0; c < src.size(); ++c) {
             uint64_t addr = 0;
             if (th.columnStore) {
@@ -245,30 +219,67 @@ Executor::execScan(const PlanNode &n)
             if (addr)
                 touch(addr, op);
         }
+    };
+    const RowId nrows = data.rowCount();
+    if (data.liveRows() == nrows) {
+        // No deletes: whole-column copies, then every stride-th row's
+        // touches (the same rows and order as the general path).
+        for (size_t c = 0; c < src.size(); ++c) {
+            auto &dst = out.col(c);
+            if (src[c]->type() == TypeId::Double) {
+                const std::vector<double> &s = src[c]->doubleData();
+                dst.doubles().assign(s.begin(), s.begin() + nrows);
+            } else {
+                const std::vector<int64_t> &s = src[c]->intData();
+                dst.ints().assign(s.begin(), s.begin() + nrows);
+            }
+        }
+        for (RowId r = 0; r < nrows; r += kScanTouchStride)
+            touchRow(r);
+    } else {
+        // Visible rows, then column-at-a-time copies (one type
+        // dispatch per column instead of one per cell).
+        std::vector<RowId> alive;
+        alive.reserve(size_t(nrows));
+        for (RowId r = 0; r < nrows; ++r)
+            if (!data.isDeleted(r))
+                alive.push_back(r);
+        for (size_t c = 0; c < src.size(); ++c) {
+            auto &dst = out.col(c);
+            if (src[c]->type() == TypeId::Double) {
+                const std::vector<double> &s = src[c]->doubleData();
+                auto &d = dst.doubles();
+                for (RowId r : alive)
+                    d.push_back(s[r]);
+            } else {
+                const std::vector<int64_t> &s = src[c]->intData();
+                auto &d = dst.ints();
+                for (RowId r : alive)
+                    d.push_back(s[r]);
+            }
+        }
+        // Touches in the same (row-major) order as the interleaved
+        // loop produced, so the simulated cache trace is unchanged.
+        for (RowId r : alive)
+            if (r % kScanTouchStride == 0)
+                touchRow(r);
     }
 
     // Buffer / I/O accounting: stream every needed segment or page.
-    auto account = [&](PageId page) {
-        if (!ctx_.pool)
-            return;
-        const auto res = ctx_.pool->touch(page);
-        op.ioReadBytes += res.readBytes;
-        op.ioWriteBytes += res.writeBytes;
-    };
     if (th.columnStore && th.columnStore->built()) {
         for (size_t c = 0; c < src_ids.size(); ++c)
             for (uint64_t g = 0; g < th.columnStore->rowGroups(); ++g)
-                account(th.columnStore->segmentPage(src_ids[c], g));
+                logPage(th.columnStore->segmentPage(src_ids[c], g), 1);
     } else if (th.ncci) {
         const ColumnStore &cs = th.ncci->compressed();
         for (size_t c = 0; c < src_ids.size(); ++c)
             for (uint64_t g = 0; g < cs.rowGroups(); ++g)
-                account(cs.segmentPage(src_ids[c], g));
-        account(th.ncci->deltaPage());
+                logPage(cs.segmentPage(src_ids[c], g), 1);
+        logPage(th.ncci->deltaPage(), 1);
     } else if (th.rowStore) {
         for (uint64_t p = 0; p < th.rowStore->pageCount(); ++p)
-            account(th.rowStore->pageOfRow(p *
-                                           th.rowStore->rowsPerPage()));
+            logPage(th.rowStore->pageOfRow(p * th.rowStore->rowsPerPage()),
+                    1);
     }
 
     op.rowsOut = out.rows();
@@ -620,13 +631,8 @@ Executor::execIndexNLJoin(const PlanNode &n, Chunk left)
             for (uint64_t a : touch_addrs)
                 touch(a, op);
         }
-        if (ctx_.pool) {
-            for (PageId p : touched_pages) {
-                const auto res = ctx_.pool->touch(p);
-                op.ioReadBytes += res.readBytes * kScanTouchStride;
-                op.ioWriteBytes += res.writeBytes * kScanTouchStride;
-            }
-        }
+        for (PageId p : touched_pages)
+            logPage(p, kScanTouchStride);
         for (RowId r : rows) {
             if (data.isDeleted(r))
                 continue;

@@ -5,32 +5,52 @@
  * Executes an (optimizer-annotated) plan tree functionally — real
  * joins, real aggregates over the loaded data — while accumulating a
  * QueryProfile: per-operator instruction estimates, sampled cache
- * touches (into a CacheFeed), buffer-pool I/O, and memory
- * requirements. The discrete-event simulation later replays profiles
- * under any resource configuration (engine/query_replay.h).
+ * touches (into a CacheFeed), buffer-pool page touches (into a
+ * PageLog), and memory requirements. The discrete-event simulation
+ * later replays profiles under any resource configuration
+ * (engine/query_replay.h).
  */
 
 #ifndef DBSENS_EXEC_EXECUTOR_H
 #define DBSENS_EXEC_EXECUTOR_H
 
+#include <vector>
+
 #include "core/random.h"
+#include "core/types.h"
 #include "exec/chunk.h"
 #include "exec/plan.h"
 #include "exec/profile.h"
 #include "exec/table_handle.h"
 #include "hw/cache_feed.h"
 #include "hw/virtual_space.h"
-#include "storage/buffer_pool.h"
 
 namespace dbsens {
 
 class WorkerPool;
 
+/** One buffer-pool access of an execution, in execution order. */
+struct PageTouch
+{
+    uint32_t op;     ///< index of the operator in QueryProfile::ops
+    uint32_t weight; ///< I/O multiplier (sampled probes stand for many)
+    PageId page;
+};
+
+/**
+ * The buffer-pool accesses of one execution. Residency never feeds
+ * back into execution, so the executor only logs its page touches;
+ * applyPageLog (engine/query_runner.h) replays them through a pool
+ * and charges the I/O to the operators.
+ */
+using PageLog = std::vector<PageTouch>;
+
 /** Everything an execution needs; optional pieces may be null. */
 struct ExecContext
 {
     const TableResolver *resolver = nullptr;
-    BufferPool *pool = nullptr;      ///< buffer residency accounting
+    /** Page touches of scans and index probes (needs `profile`). */
+    PageLog *pageLog = nullptr;
     CacheFeed *feed = nullptr;       ///< sampled cache accesses
     QueryProfile *profile = nullptr; ///< per-operator cost records
     VirtualSpace *tempSpace = nullptr; ///< regions for hash/sort temps
@@ -96,6 +116,16 @@ class Executor
 
     /** Record an op profile (no-op without a profile sink). */
     void record(OpProfile op);
+
+    /** Log a page touch of the operator being executed (the next one
+     * record() appends). */
+    void
+    logPage(PageId page, uint32_t weight)
+    {
+        if (ctx_.pageLog)
+            ctx_.pageLog->push_back(
+                {uint32_t(ctx_.profile->ops.size()), weight, page});
+    }
 
     void
     touch(uint64_t addr, OpProfile &op)

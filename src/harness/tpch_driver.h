@@ -85,7 +85,13 @@ class TpchDriver
     double runSingleQuery(int q, const RunConfig &cfg);
 
   private:
-    /** Steady-state pass: run all 22 once (warm) + record the trace. */
+    /**
+     * Steady-state pass: execute all 22 once, recording the workload
+     * trace and each query's page log, then replay the logs twice
+     * through the profiling pool: once to warm it, once to charge the
+     * steady-state I/O to the profiles. Exactly equal to running the
+     * suite twice and profiling the second run (see DESIGN.md §12).
+     */
     void steadyStatePass();
 
     Task<void> streamSession(SimRun &run, int maxdop, double miss_rate,

@@ -122,6 +122,19 @@ class AccessTrace
     /** Retained addresses. */
     const std::vector<uint64_t> &addrs() const { return addrs_; }
 
+    /**
+     * Move every retained address in [lo, hi) up by `delta` (the
+     * steady-state pass relocates its temp regions; see
+     * TpchDriver::steadyStatePass).
+     */
+    void
+    relocate(uint64_t lo, uint64_t hi, uint64_t delta)
+    {
+        for (uint64_t &a : addrs_)
+            if (a >= lo && a < hi)
+                a += delta;
+    }
+
     /** Fraction of observed accesses retained. */
     double
     keepRatio() const

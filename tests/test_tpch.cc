@@ -2,7 +2,8 @@
  * @file
  * TPC-H workload tests: generator invariants, all 22 queries execute
  * and produce plausible results, independent recomputation of Q1/Q6,
- * and the paper's Q20 plan-change behaviour (Figure 7).
+ * the paper's Q20 plan-change behaviour (Figure 7), and the buffer-pool
+ * I/O a profile charges each operator.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <memory>
 
 #include "engine/query_runner.h"
+#include "harness/tpch_driver.h"
 #include "opt/plan_printer.h"
 #include "workloads/tpch/tpch_gen.h"
 #include "workloads/tpch/tpch_queries.h"
@@ -263,6 +265,74 @@ TEST_F(TpchTest, SerialPlanChoiceDependsOnThreshold)
     EXPECT_EQ(serial_default, 22); // tiny data: all serial
     EXPECT_GT(serial_low, 0);
     EXPECT_LT(serial_low, 22);
+}
+
+TEST_F(TpchTest, ProfileIoThroughSmallPoolIsPinned)
+{
+    // Two passes of the suite through a pool that holds half the
+    // database, so it evicts; every resident object is dirtied before
+    // each query so evictions also charge write-back. Q10/Q19/Q20 run
+    // index nested loops, whose sampled probes weigh kScanTouchStride.
+    struct Pinned
+    {
+        int query;
+        uint64_t read1, write1, read2, write2;
+    };
+    const Pinned kPinned[] = {
+        {1, 429125u, 416406u, 333109u, 305915u},
+        {2, 29832u, 27016u, 28415u, 0u},
+        {3, 62581u, 39032u, 46799u, 45809u},
+        {4, 74364u, 105061u, 74364u, 107477u},
+        {5, 15407u, 0u, 15407u, 0u},
+        {6, 96016u, 96016u, 96016u, 96016u},
+        {7, 0u, 0u, 0u, 0u},
+        {8, 32826u, 25284u, 32826u, 25284u},
+        {9, 27445u, 43167u, 27445u, 43167u},
+        {10, 2103179u, 0u, 2103179u, 0u},
+        {11, 5616u, 36016u, 5616u, 36016u},
+        {12, 83450u, 144229u, 83450u, 144229u},
+        {13, 75133u, 0u, 75133u, 0u},
+        {14, 32826u, 15940u, 32826u, 15940u},
+        {15, 17197u, 17208u, 17197u, 17208u},
+        {16, 2822u, 0u, 2822u, 0u},
+        {17, 97239u, 108278u, 97239u, 108278u},
+        {18, 78214u, 113481u, 78214u, 113481u},
+        {19, 4209470u, 1922048u, 4209470u, 1922048u},
+        {20, 57184u, 44475u, 57184u, 44475u},
+        {21, 82575u, 156119u, 82575u, 156119u},
+        {22, 17448u, 0u, 17448u, 0u},
+    };
+    EventLoop loop;
+    SsdModel ssd(loop);
+    BufferPool pool(loop, ssd, 512u << 10);
+    db->bindPool(pool);
+    pool.prewarm();
+    int nl_queries = 0;
+    for (int pass = 1; pass <= 2; ++pass) {
+        for (const Pinned &p : kPinned) {
+            for (PageId id : pool.registeredObjects())
+                if (pool.isResident(id))
+                    pool.markDirty(id);
+            const ProfiledQuery pq =
+                profileQuery(*db, *tpch::query(p.query),
+                             tpchOptimizerConfig(32), &pool);
+            uint64_t write = 0;
+            for (const OpProfile &op : pq.profile.ops)
+                write += op.ioWriteBytes;
+            EXPECT_EQ(pq.profile.totalReadBytes(),
+                      pass == 1 ? p.read1 : p.read2)
+                << "Q" << p.query << " pass " << pass;
+            EXPECT_EQ(write, pass == 1 ? p.write1 : p.write2)
+                << "Q" << p.query << " pass " << pass;
+            if (pass == 1 && pq.signature.find("NL(") != std::string::npos)
+                ++nl_queries;
+        }
+    }
+    db->unbindPool();
+    EXPECT_EQ(nl_queries, 3);
+    EXPECT_EQ(pool.hits(), 438u);
+    EXPECT_EQ(pool.missCount(), 178u);
+    EXPECT_EQ(pool.writebackBytes(), 2677174u);
 }
 
 } // namespace

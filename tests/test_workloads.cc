@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "harness/oltp_runner.h"
 #include "harness/tpch_driver.h"
+#include "opt/plan_printer.h"
 #include "workloads/asdb/asdb.h"
 #include "workloads/htap/htap.h"
 #include "workloads/tpce/tpce.h"
@@ -220,6 +223,89 @@ TEST(TpchDriverTest, SingleQueryDurationDropsWithMaxdop)
     EXPECT_GT(t1, 0.0);
     // Q1 at SF4 may still be serial; allow equal-or-faster.
     EXPECT_LE(t16, t1);
+}
+
+void
+expectSameProfile(const ProfiledQuery &a, const ProfiledQuery &b, int q)
+{
+    SCOPED_TRACE("Q" + std::to_string(q));
+    EXPECT_EQ(a.signature, b.signature);
+    EXPECT_EQ(a.parallelPlan, b.parallelPlan);
+    EXPECT_EQ(a.resultRows, b.resultRows);
+    ASSERT_EQ(a.profile.ops.size(), b.profile.ops.size());
+    for (size_t i = 0; i < a.profile.ops.size(); ++i) {
+        SCOPED_TRACE("op " + std::to_string(i));
+        const OpProfile &x = a.profile.ops[i];
+        const OpProfile &y = b.profile.ops[i];
+        EXPECT_EQ(x.label, y.label);
+        EXPECT_EQ(x.instructions, y.instructions);
+        EXPECT_EQ(x.cacheTouches, y.cacheTouches);
+        EXPECT_EQ(x.ioReadBytes, y.ioReadBytes);
+        EXPECT_EQ(x.ioWriteBytes, y.ioWriteBytes);
+        EXPECT_EQ(x.rowsIn, y.rowsIn);
+        EXPECT_EQ(x.rowsOut, y.rowsOut);
+        EXPECT_EQ(x.exchangeRows, y.exchangeRows);
+        EXPECT_EQ(x.memRequired, y.memRequired);
+        EXPECT_EQ(x.parallelizable, y.parallelizable);
+    }
+}
+
+TEST(TpchDriverSteadyState, MatchesTwoPassOracle)
+{
+    // The oracle: run the suite twice against one profiling pool; the
+    // first pass only warms the pool, the second records the profiles
+    // and the workload trace.
+    auto db = tpch::generate(2);
+    ProfilingEnv env(*db);
+    AccessTrace trace;
+    RecordingFeed feed(trace);
+    std::map<std::string, ProfiledQuery> by_sig;
+    std::vector<std::string> sig32(tpch::kQueryCount + 1);
+    double instr = 0;
+    for (int pass = 1; pass <= 2; ++pass) {
+        for (int q = 1; q <= tpch::kQueryCount; ++q) {
+            ProfiledQuery pq = profileQuery(
+                *db, *tpch::query(q), tpchOptimizerConfig(32),
+                &env.pool(), pass == 2 ? &feed : nullptr);
+            if (pass == 1)
+                continue;
+            instr += pq.profile.totalInstructions();
+            sig32[size_t(q)] = pq.signature;
+            by_sig.emplace(pq.signature, std::move(pq));
+        }
+    }
+
+    TpchDriver driver(2);
+    for (int q = 1; q <= tpch::kQueryCount; ++q)
+        expectSameProfile(driver.profile(q, 32),
+                          by_sig.at(sig32[size_t(q)]), q);
+    EXPECT_EQ(driver.trace().addrs(), trace.addrs());
+    EXPECT_EQ(driver.trace().total(), trace.total());
+    EXPECT_EQ(driver.touchesPerKiloInstr(),
+              double(trace.total()) / (instr / 1000.0));
+    EXPECT_EQ(driver.db().space().bytesAllocated(),
+              db->space().bytesAllocated());
+
+    // A MAXDOP whose plans differ re-profiles against the pool the
+    // steady state left behind, so equal I/O means an equal pool.
+    int reprofiled = 0;
+    for (int q = 1; q <= tpch::kQueryCount; ++q) {
+        auto plan = tpch::query(q);
+        Optimizer opt(*db, tpchOptimizerConfig(4));
+        opt.optimize(*plan);
+        const std::string sig = planSignature(*plan);
+        auto it = by_sig.find(sig);
+        if (it == by_sig.end()) {
+            ++reprofiled;
+            it = by_sig
+                     .emplace(sig, profileQuery(*db, *tpch::query(q),
+                                                tpchOptimizerConfig(4),
+                                                &env.pool()))
+                     .first;
+        }
+        expectSameProfile(driver.profile(q, 4), it->second, q);
+    }
+    EXPECT_GT(reprofiled, 0);
 }
 
 } // namespace
