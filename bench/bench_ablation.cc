@@ -170,5 +170,5 @@ main(int argc, char **argv)
              "flush: the Section 6 write-limit TPS drops (-6%/-44%) "
              "would instead be order-of-magnitude collapses.");
     }
-    return 0;
+    return ctx.finish();
 }

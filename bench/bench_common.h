@@ -394,16 +394,23 @@ toJson(const QueryProfile &p)
 }
 
 /**
- * Per-binary harness for the machine-readable outputs: parses
- * `--json <path>` (run report) and `--trace <path>` (Chrome
- * trace-event JSON), collects results the bench records, and writes
- * both files in finish(). With neither flag the bench behaves exactly
- * as before — the human tables are always printed.
+ * Per-binary harness shared by every bench: parses the command line
+ * (`--json <path>` run report, `--trace <path>` Chrome trace-event
+ * JSON, and `--small` where the bench declares a reduced CI scale),
+ * builds the report the bench records into, and in finish() writes
+ * the requested files and turns the verdict into the exit code. The
+ * human tables are always printed.
  */
 class BenchContext
 {
   public:
-    BenchContext(int argc, char **argv, const std::string &bench_name)
+    /**
+     * `has_small` declares a reduced `--small` scale: the flag is
+     * accepted and `config.small` is recorded. Other benches reject
+     * `--small` like any unknown flag.
+     */
+    BenchContext(int argc, char **argv, const std::string &bench_name,
+                 bool has_small = false)
         : name_(bench_name)
     {
         for (int i = 1; i < argc; ++i) {
@@ -412,10 +419,13 @@ class BenchContext
                 jsonPath_ = argv[++i];
             } else if (arg == "--trace" && i + 1 < argc) {
                 tracePath_ = argv[++i];
+            } else if (arg == "--small" && has_small) {
+                small_ = true;
             } else if (arg == "--help" || arg == "-h") {
-                std::printf("usage: %s [--json <report.json>] "
+                std::printf("usage: %s %s[--json <report.json>] "
                             "[--trace <trace.json>]\n",
-                            bench_name.c_str());
+                            bench_name.c_str(),
+                            has_small ? "[--small] " : "");
                 std::exit(0);
             } else {
                 fatal(bench_name + ": unknown argument '" + arg +
@@ -426,6 +436,8 @@ class BenchContext
         report_["schema_version"] = Json(1);
         report_["config"] = Json::object();
         report_["results"] = Json::object();
+        if (has_small)
+            config()["small"] = Json(small_);
         if (!tracePath_.empty()) {
             recorder_ = std::make_unique<TraceRecorder>();
             TraceRecorder::setActive(recorder_.get());
@@ -437,8 +449,8 @@ class BenchContext
     BenchContext(const BenchContext &) = delete;
     BenchContext &operator=(const BenchContext &) = delete;
 
-    /** True when a machine-readable report was requested. */
-    bool jsonRequested() const { return !jsonPath_.empty(); }
+    /** True when `--small` was given (only a declaring bench sees it). */
+    bool small() const { return small_; }
 
     /** Config knobs section (shared sweep settings etc.). */
     Json &config() { return report_["config"]; }
@@ -446,36 +458,62 @@ class BenchContext
     /** Results section; benches insert named entries. */
     Json &results() { return report_["results"]; }
 
-    Json &report() { return report_; }
-
-    /** Write the report and trace (idempotent; ~dtor calls it). */
+    /**
+     * Record `results.verdict`: `details` plus its `pass` flag. A
+     * failed verdict makes finish() return non-zero.
+     */
     void
+    verdict(bool pass, Json details)
+    {
+        details["pass"] = Json(pass);
+        results()["verdict"] = std::move(details);
+        pass_ = pass;
+    }
+
+    /**
+     * Write the report and trace when requested and return the exit
+     * code: non-zero on a failed verdict or a file that cannot be
+     * written. Idempotent; the destructor calls it.
+     */
+    int
     finish()
     {
         if (finished_)
-            return;
+            return exitCode_;
         finished_ = true;
         if (recorder_) {
             TraceRecorder::setActive(nullptr);
-            if (!recorder_->writeFile(tracePath_))
+            if (!recorder_->writeFile(tracePath_)) {
                 warn(name_ + ": failed to write trace to " + tracePath_);
-            else
+                exitCode_ = 1;
+            } else {
                 note("trace written to " + tracePath_ + " (" +
                      std::to_string(recorder_->eventCount()) +
                      " events; open in Perfetto)");
+            }
         }
         if (!jsonPath_.empty()) {
-            if (!report_.writeFile(jsonPath_, 2))
+            if (!report_.writeFile(jsonPath_, 2)) {
                 warn(name_ + ": failed to write report to " + jsonPath_);
-            else
+                exitCode_ = 1;
+            } else {
                 note("report written to " + jsonPath_);
+            }
         }
+        if (!pass_) {
+            warn(name_ + ": verdict FAIL");
+            exitCode_ = 1;
+        }
+        return exitCode_;
     }
 
   private:
     std::string name_;
     std::string jsonPath_;
     std::string tracePath_;
+    bool small_ = false;
+    bool pass_ = true;
+    int exitCode_ = 0;
     Json report_ = Json::object();
     std::unique_ptr<TraceRecorder> recorder_;
     bool finished_ = false;

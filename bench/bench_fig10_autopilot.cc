@@ -32,17 +32,9 @@ main(int argc, char **argv)
     using namespace dbsens;
     using namespace dbsens::bench;
 
-    // BenchContext rejects unknown flags, so strip `--small` first.
-    bool small = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--small")
-            small = true;
-        else
-            args.push_back(argv[i]);
-    }
-    BenchContext ctx(int(args.size()), args.data(),
-                     "bench_fig10_autopilot");
+    BenchContext ctx(argc, argv, "bench_fig10_autopilot",
+                     /*has_small=*/true);
+    const bool small = ctx.small();
 
     const int sf = small ? 2000 : 5000;
     // The verdict scores the *whole* measured window, search phase
@@ -62,18 +54,6 @@ main(int argc, char **argv)
         cfg.tune.epoch = milliseconds(16);
         cfg.tune.hysteresis = 0.05;
         return cfg;
-    };
-
-    // The arbiter the engine will build for this config, used here to
-    // construct candidate static partitions with valid residual knobs.
-    auto totals_for = [](const RunConfig &cfg) {
-        ResourceTotals t;
-        t.cores = cfg.cores;
-        t.llcMb = cfg.llcMb;
-        t.maxdop = cfg.maxdop;
-        t.grantBytes = uint64_t(
-            cfg.grantFraction * double(calib::queryMemoryRealBytes()));
-        return t;
     };
 
     auto wl = makeOltpWorkload("HTAP", sf);
@@ -98,7 +78,9 @@ main(int argc, char **argv)
     // ------------------------------------------ arm 1: even split
     banner("Naive even split (static halves of every knob)");
     const RunConfig probe_cfg = base_cfg();
-    ResourceArbiter arb(totals_for(probe_cfg));
+    // The arbiter the engine builds for this config, used here to
+    // construct candidate static partitions with valid residual knobs.
+    ResourceArbiter arb(resourceTotals(probe_cfg));
     const KnobState even = arb.evenSplit();
     const OltpRunResult even_res =
         run_static(even, TunePolicyKind::Static);
@@ -217,22 +199,18 @@ main(int argc, char **argv)
          "needs cores, the scan-heavy analytics want LLC + DOP) and "
          "shifts toward the oracle's partition.");
 
-    if (ctx.jsonRequested()) {
-        ctx.config()["workload"] = Json("HTAP");
-        ctx.config()["sf"] = Json(sf);
-        ctx.config()["run"] = toJson(probe_cfg);
-        ctx.config()["small"] = Json(small);
-        for (const Arm &a : arms) {
-            Json e = toJson(a.res);
-            e["score"] = Json(a.score);
-            ctx.results()[a.name] = std::move(e);
-        }
-        ctx.results()["oracle_sweep"] = std::move(sweep);
-        Json v = Json::object();
-        v["vs_oracle_pct"] = Json(100.0 * auto_score / oracle_score);
-        v["beats_even_split"] = Json(vs_even);
-        v["pass"] = Json(vs_oracle && vs_even);
-        ctx.results()["verdict"] = std::move(v);
+    ctx.config()["workload"] = Json("HTAP");
+    ctx.config()["sf"] = Json(sf);
+    ctx.config()["run"] = toJson(probe_cfg);
+    for (const Arm &a : arms) {
+        Json e = toJson(a.res);
+        e["score"] = Json(a.score);
+        ctx.results()[a.name] = std::move(e);
     }
-    return 0;
+    ctx.results()["oracle_sweep"] = std::move(sweep);
+    Json v = Json::object();
+    v["vs_oracle_pct"] = Json(100.0 * auto_score / oracle_score);
+    v["beats_even_split"] = Json(vs_even);
+    ctx.verdict(vs_oracle && vs_even, std::move(v));
+    return ctx.finish();
 }

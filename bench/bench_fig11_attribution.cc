@@ -73,17 +73,9 @@ main(int argc, char **argv)
     using namespace dbsens;
     using namespace dbsens::bench;
 
-    // BenchContext rejects unknown flags, so strip `--small` first.
-    bool small = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--small")
-            small = true;
-        else
-            args.push_back(argv[i]);
-    }
-    BenchContext ctx(int(args.size()), args.data(),
-                     "bench_fig11_attribution");
+    BenchContext ctx(argc, argv, "bench_fig11_attribution",
+                     /*has_small=*/true);
+    const bool small = ctx.small();
 
     const int sf = small ? 2000 : 5000;
     const SimDuration window =
@@ -98,16 +90,6 @@ main(int argc, char **argv)
         return cfg;
     };
 
-    auto totals_for = [](const RunConfig &cfg) {
-        ResourceTotals t;
-        t.cores = cfg.cores;
-        t.llcMb = cfg.llcMb;
-        t.maxdop = cfg.maxdop;
-        t.grantBytes = uint64_t(
-            cfg.grantFraction * double(calib::queryMemoryRealBytes()));
-        return t;
-    };
-
     auto wl = makeOltpWorkload("HTAP", sf);
     std::unique_ptr<Database> db = wl->generate(1);
 
@@ -115,7 +97,7 @@ main(int argc, char **argv)
     banner("Blame attribution (static even split, observer on)");
     RunConfig attr_cfg = base_cfg();
     {
-        ResourceArbiter arb(totals_for(attr_cfg));
+        ResourceArbiter arb(resourceTotals(attr_cfg));
         attr_cfg.tune.policy = TunePolicyKind::Static;
         attr_cfg.tune.initial = arb.evenSplit();
         attr_cfg.tune.haveInitial = true;
@@ -267,20 +249,16 @@ main(int argc, char **argv)
          "tenant's memory stalls (LLC) second — matching what active "
          "probing pays whole epochs to discover.");
 
-    if (ctx.jsonRequested()) {
-        ctx.config()["workload"] = Json("HTAP");
-        ctx.config()["sf"] = Json(sf);
-        ctx.config()["run"] = toJson(attr_cfg);
-        ctx.config()["small"] = Json(small);
-        ctx.results()["attribution"] = toJson(attr_res);
-        ctx.results()["probe"] = toJson(probe_res);
-        Json v = Json::object();
-        v["sum_error"] = Json(sum_err);
-        v["sums_ok"] = Json(sums_ok);
-        v["ranking_ok"] = Json(ranking_ok);
-        v["tenants"] = std::move(tenants_json);
-        v["pass"] = Json(sums_ok && ranking_ok);
-        ctx.results()["verdict"] = std::move(v);
-    }
-    return sums_ok && ranking_ok ? 0 : 1;
+    ctx.config()["workload"] = Json("HTAP");
+    ctx.config()["sf"] = Json(sf);
+    ctx.config()["run"] = toJson(attr_cfg);
+    ctx.results()["attribution"] = toJson(attr_res);
+    ctx.results()["probe"] = toJson(probe_res);
+    Json v = Json::object();
+    v["sum_error"] = Json(sum_err);
+    v["sums_ok"] = Json(sums_ok);
+    v["ranking_ok"] = Json(ranking_ok);
+    v["tenants"] = std::move(tenants_json);
+    ctx.verdict(sums_ok && ranking_ok, std::move(v));
+    return ctx.finish();
 }

@@ -35,17 +35,9 @@ main(int argc, char **argv)
     using namespace dbsens;
     using namespace dbsens::bench;
 
-    // BenchContext rejects unknown flags, so strip `--small` first.
-    bool small = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--small")
-            small = true;
-        else
-            args.push_back(argv[i]);
-    }
-    BenchContext ctx(int(args.size()), args.data(),
-                     "bench_fig12_resilience");
+    BenchContext ctx(argc, argv, "bench_fig12_resilience",
+                     /*has_small=*/true);
+    const bool small = ctx.small();
 
     const int sf = small ? 2000 : 5000;
     const SimDuration window =
@@ -220,34 +212,29 @@ main(int argc, char **argv)
          "p99 ceiling; the ladder clamps OLAP DOP, shrinks grants, "
          "and sheds analytical admission until the SSD heals.");
 
-    if (ctx.jsonRequested()) {
-        ctx.config()["workload"] = Json("HTAP");
-        ctx.config()["sf"] = Json(sf);
-        RunConfig rep = base_cfg();
-        add_faults(rep);
-        rep.resil.enabled = true;
-        ctx.config()["run"] = toJson(rep);
-        ctx.config()["small"] = Json(small);
-        ctx.config()["slo_p99_ms"] = Json(slo_ms);
-        ctx.config()["surge_sessions"] = Json(surge_sessions);
-        const char *keys[] = {"fault_free_off", "fault_free_on",
-                              "no_defense", "shed_only", "full"};
-        for (size_t i = 0; i < arms.size() && i < 5; ++i) {
-            Json e = toJson(arms[i].res);
-            e["compliance"] = Json(arms[i].compliance);
-            e["goodput"] = Json(arms[i].goodput);
-            ctx.results()[keys[i]] = std::move(e);
-        }
-        Json v = Json::object();
-        v["compliance_full"] = Json(full.compliance);
-        v["compliance_no_defense"] = Json(nodef.compliance);
-        v["compliance_shed_only"] = Json(shed.compliance);
-        v["goodput_ratio"] = Json(goodput_ratio);
-        v["engaged"] = Json(engaged);
-        v["pass"] = Json(beats_nodef && beats_shed && free_lunch &&
-                         engaged);
-        ctx.results()["verdict"] = std::move(v);
+    ctx.config()["workload"] = Json("HTAP");
+    ctx.config()["sf"] = Json(sf);
+    RunConfig rep = base_cfg();
+    add_faults(rep);
+    rep.resil.enabled = true;
+    ctx.config()["run"] = toJson(rep);
+    ctx.config()["slo_p99_ms"] = Json(slo_ms);
+    ctx.config()["surge_sessions"] = Json(surge_sessions);
+    const char *keys[] = {"fault_free_off", "fault_free_on",
+                          "no_defense", "shed_only", "full"};
+    for (size_t i = 0; i < arms.size() && i < 5; ++i) {
+        Json e = toJson(arms[i].res);
+        e["compliance"] = Json(arms[i].compliance);
+        e["goodput"] = Json(arms[i].goodput);
+        ctx.results()[keys[i]] = std::move(e);
     }
-    return (beats_nodef && beats_shed && free_lunch && engaged) ? 0
-                                                                : 1;
+    Json v = Json::object();
+    v["compliance_full"] = Json(full.compliance);
+    v["compliance_no_defense"] = Json(nodef.compliance);
+    v["compliance_shed_only"] = Json(shed.compliance);
+    v["goodput_ratio"] = Json(goodput_ratio);
+    v["engaged"] = Json(engaged);
+    ctx.verdict(beats_nodef && beats_shed && free_lunch && engaged,
+                std::move(v));
+    return ctx.finish();
 }

@@ -33,17 +33,9 @@ main(int argc, char **argv)
     using namespace dbsens::bench;
     using namespace dbsens::cluster;
 
-    // BenchContext rejects unknown flags, so strip `--small` first.
-    bool small = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--small")
-            small = true;
-        else
-            args.push_back(argv[i]);
-    }
-    BenchContext ctx(int(args.size()), args.data(),
-                     "bench_fig13_fleet");
+    BenchContext ctx(argc, argv, "bench_fig13_fleet",
+                     /*has_small=*/true);
+    const bool small = ctx.small();
 
     const std::vector<int> node_counts =
         small ? std::vector<int>{2, 3} : std::vector<int>{2, 4, 6};
@@ -169,84 +161,80 @@ main(int argc, char **argv)
     const bool pass =
         all_consistent && all_resolved && engaged && worked;
 
-    if (ctx.jsonRequested()) {
-        ctx.config()["small"] = Json(small);
-        ctx.config()["window_ms"] =
-            Json(double(window) / double(milliseconds(1)));
-        ctx.config()["seed"] = Json(42);
-        Json cellsJson = Json::array();
-        for (const Cell &c : cells) {
-            Json e = Json::object();
-            e["nodes"] = Json(c.nodes);
-            e["crashes_per_node"] = Json(c.crashes);
-            e["submitted"] = Json(c.res.totalSubmitted());
-            e["committed"] = Json(c.res.totalCommitted());
-            e["crashes_injected"] = Json(c.res.crashesInjected);
-            e["in_doubt_resolved"] = Json(c.res.inDoubtResolved);
-            e["in_doubt_unresolved"] = Json(c.res.inDoubtUnresolved);
-            e["violations"] = Json(c.res.audit.violations.size());
-            e["net_sent"] = Json(c.res.netSent);
-            e["net_dropped"] = Json(c.res.netDropped);
-            e["net_duplicated"] = Json(c.res.netDuplicated);
-            Json tenants = Json::array();
-            for (const TenantStats &ts : c.res.tenants) {
-                Json tj = Json::object();
-                tj["submitted"] = Json(ts.submitted);
-                tj["committed"] = Json(ts.committed);
-                tj["aborted"] = Json(ts.aborted);
-                tj["rejected"] = Json(ts.rejected);
-                tj["unknown"] = Json(ts.unknown);
-                tj["cross_shard"] = Json(ts.crossShard);
-                Distribution lat = ts.latencyMs;
-                tj["p50_ms"] =
-                    Json(lat.count() ? lat.quantile(0.50) : 0.0);
-                tj["p99_ms"] =
-                    Json(lat.count() ? lat.quantile(0.99) : 0.0);
-                tenants.push(std::move(tj));
-            }
-            e["tenants"] = std::move(tenants);
-            Json perNode = Json::array();
-            for (size_t n = 0; n < c.res.nodes.size(); ++n) {
-                const NodeStats &ns = c.res.nodes[n];
-                Json nj = Json::object();
-                nj["node"] = Json(int(n));
-                nj["crashes"] = Json(ns.crashes);
-                nj["recoveries"] = Json(ns.recoveries);
-                nj["local_committed"] = Json(ns.localCommitted);
-                nj["coord_committed"] = Json(ns.coordCommitted);
-                nj["coord_aborted"] = Json(ns.coordAborted);
-                nj["branches_executed"] = Json(ns.branchesExecuted);
-                nj["prepares"] = Json(ns.prepares);
-                nj["decisions_logged"] = Json(ns.decisionsLogged);
-                nj["dup_decisions"] = Json(ns.dupDecisions);
-                nj["inquiries_sent"] = Json(ns.inquiriesSent);
-                nj["in_doubt_recovered"] = Json(ns.inDoubtRecovered);
-                nj["in_doubt_committed"] = Json(ns.inDoubtCommitted);
-                nj["in_doubt_aborted"] = Json(ns.inDoubtAborted);
-                nj["recovery_ms"] = Json(double(ns.recoveryNs) /
-                                         double(milliseconds(1)));
-                perNode.push(std::move(nj));
-            }
-            e["per_node"] = std::move(perNode);
-            Json events = Json::array();
-            for (const FleetEvent &ev : c.res.events) {
-                Json ej = Json::object();
-                ej["node"] = Json(ev.node);
-                ej["at_ms"] = Json(double(ev.at) /
-                                   double(milliseconds(1)));
-                ej["kind"] = Json(ev.kind);
-                events.push(std::move(ej));
-            }
-            e["events"] = std::move(events);
-            cellsJson.push(std::move(e));
+    ctx.config()["window_ms"] =
+        Json(double(window) / double(milliseconds(1)));
+    ctx.config()["seed"] = Json(42);
+    Json cellsJson = Json::array();
+    for (const Cell &c : cells) {
+        Json e = Json::object();
+        e["nodes"] = Json(c.nodes);
+        e["crashes_per_node"] = Json(c.crashes);
+        e["submitted"] = Json(c.res.totalSubmitted());
+        e["committed"] = Json(c.res.totalCommitted());
+        e["crashes_injected"] = Json(c.res.crashesInjected);
+        e["in_doubt_resolved"] = Json(c.res.inDoubtResolved);
+        e["in_doubt_unresolved"] = Json(c.res.inDoubtUnresolved);
+        e["violations"] = Json(c.res.audit.violations.size());
+        e["net_sent"] = Json(c.res.netSent);
+        e["net_dropped"] = Json(c.res.netDropped);
+        e["net_duplicated"] = Json(c.res.netDuplicated);
+        Json tenants = Json::array();
+        for (const TenantStats &ts : c.res.tenants) {
+            Json tj = Json::object();
+            tj["submitted"] = Json(ts.submitted);
+            tj["committed"] = Json(ts.committed);
+            tj["aborted"] = Json(ts.aborted);
+            tj["rejected"] = Json(ts.rejected);
+            tj["unknown"] = Json(ts.unknown);
+            tj["cross_shard"] = Json(ts.crossShard);
+            Distribution lat = ts.latencyMs;
+            tj["p50_ms"] =
+                Json(lat.count() ? lat.quantile(0.50) : 0.0);
+            tj["p99_ms"] =
+                Json(lat.count() ? lat.quantile(0.99) : 0.0);
+            tenants.push(std::move(tj));
         }
-        ctx.results()["cells"] = std::move(cellsJson);
-        Json v = Json::object();
-        v["all_consistent"] = Json(all_consistent);
-        v["all_resolved"] = Json(all_resolved);
-        v["engaged"] = Json(engaged);
-        v["pass"] = Json(pass);
-        ctx.results()["verdict"] = std::move(v);
+        e["tenants"] = std::move(tenants);
+        Json perNode = Json::array();
+        for (size_t n = 0; n < c.res.nodes.size(); ++n) {
+            const NodeStats &ns = c.res.nodes[n];
+            Json nj = Json::object();
+            nj["node"] = Json(int(n));
+            nj["crashes"] = Json(ns.crashes);
+            nj["recoveries"] = Json(ns.recoveries);
+            nj["local_committed"] = Json(ns.localCommitted);
+            nj["coord_committed"] = Json(ns.coordCommitted);
+            nj["coord_aborted"] = Json(ns.coordAborted);
+            nj["branches_executed"] = Json(ns.branchesExecuted);
+            nj["prepares"] = Json(ns.prepares);
+            nj["decisions_logged"] = Json(ns.decisionsLogged);
+            nj["dup_decisions"] = Json(ns.dupDecisions);
+            nj["inquiries_sent"] = Json(ns.inquiriesSent);
+            nj["in_doubt_recovered"] = Json(ns.inDoubtRecovered);
+            nj["in_doubt_committed"] = Json(ns.inDoubtCommitted);
+            nj["in_doubt_aborted"] = Json(ns.inDoubtAborted);
+            nj["recovery_ms"] = Json(double(ns.recoveryNs) /
+                                     double(milliseconds(1)));
+            perNode.push(std::move(nj));
+        }
+        e["per_node"] = std::move(perNode);
+        Json events = Json::array();
+        for (const FleetEvent &ev : c.res.events) {
+            Json ej = Json::object();
+            ej["node"] = Json(ev.node);
+            ej["at_ms"] = Json(double(ev.at) /
+                               double(milliseconds(1)));
+            ej["kind"] = Json(ev.kind);
+            events.push(std::move(ej));
+        }
+        e["events"] = std::move(events);
+        cellsJson.push(std::move(e));
     }
-    return pass ? 0 : 1;
+    ctx.results()["cells"] = std::move(cellsJson);
+    Json v = Json::object();
+    v["all_consistent"] = Json(all_consistent);
+    v["all_resolved"] = Json(all_resolved);
+    v["engaged"] = Json(engaged);
+    ctx.verdict(pass, std::move(v));
+    return ctx.finish();
 }

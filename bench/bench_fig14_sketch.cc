@@ -128,17 +128,9 @@ main(int argc, char **argv)
     using dbsens::sketch::SketchConfig;
     using dbsens::sketch::SketchHub;
 
-    // BenchContext rejects unknown flags, so strip `--small` first.
-    bool small = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--small")
-            small = true;
-        else
-            args.push_back(argv[i]);
-    }
-    BenchContext ctx(int(args.size()), args.data(),
-                     "bench_fig14_sketch");
+    BenchContext ctx(argc, argv, "bench_fig14_sketch",
+                     /*has_small=*/true);
+    const bool small = ctx.small();
 
     const size_t kRows = small ? 120000 : 400000;
     const int64_t kKeys = 200;
@@ -157,7 +149,6 @@ main(int argc, char **argv)
     // parallel — which takes a hot literal, not the 2% static guess.
     const double threshold = 3.75 * double(kRows);
 
-    ctx.config()["small"] = Json(small);
     ctx.config()["rows"] = Json(kRows);
     ctx.config()["distinct_keys"] = Json(kKeys);
     ctx.config()["serial_threshold"] = Json(threshold);
@@ -293,8 +284,8 @@ main(int argc, char **argv)
             c.withinFrac = double(within) / double(kKeys);
 
             // ... and the value column's KLL against exact ranks.
-            const auto *vs = ensureColumnStats(
-                hub, resolver.find("fact"), "val", nullptr);
+            const auto *vs =
+                ensureColumnStats(hub, resolver.find("fact"), "val");
             c.kllBound = vs->kll.rankErrorBound();
             for (double q : {0.1, 0.5, 0.9, 0.99}) {
                 const double v = vs->kll.quantile(q);
@@ -446,60 +437,57 @@ main(int argc, char **argv)
 
     const bool pass = plan_flips && bounds_ok && resize_ok;
 
-    if (ctx.jsonRequested()) {
-        Json cells = Json::array();
-        for (const SkewRow &r : rows)
-            for (const Cell &c : r.cells) {
-                Json e = Json::object();
-                e["skew"] = Json(c.skew);
-                e["cms_width"] = Json(uint64_t(c.width));
-                e["kll_k"] = Json(uint64_t(c.kllK));
-                e["hot_key"] = Json(r.hotKey);
-                e["rare_key"] = Json(r.rareKey);
-                e["hot_exact"] = Json(r.hotCnt);
-                e["rare_exact"] = Json(r.rareCnt);
-                e["hot_est"] = Json(c.estHot);
-                e["rare_est"] = Json(c.estRare);
-                e["static_est"] = Json(r.staticEst);
-                e["hot_parallel"] = Json(c.hotPar);
-                e["rare_parallel"] = Json(c.rarePar);
-                e["static_hot_parallel"] = Json(r.staticHotPar);
-                e["oracle_hot_parallel"] = Json(r.oracleHotPar);
-                e["oracle_rare_parallel"] = Json(r.oracleRarePar);
-                e["underestimates"] = Json(c.underestimates);
-                e["within_bound_frac"] = Json(c.withinFrac);
-                e["epsilon"] = Json(c.eps);
-                e["kll_rank_bound"] = Json(c.kllBound);
-                e["kll_ok"] = Json(c.kllOk);
-                cells.push(std::move(e));
-            }
-        ctx.results()["cells"] = std::move(cells);
-        Json curveJson = Json::array();
-        for (const Rung &r : curve) {
+    Json cells = Json::array();
+    for (const SkewRow &r : rows)
+        for (const Cell &c : r.cells) {
             Json e = Json::object();
-            e["width"] = Json(uint64_t(r.width));
-            e["bytes"] = Json(r.bytes);
-            e["epsilon"] = Json(r.eps);
-            e["mean_abs_err"] = Json(r.mae);
-            e["fold_bit_identical"] = Json(r.bitIdentical);
-            curveJson.push(std::move(e));
+            e["skew"] = Json(c.skew);
+            e["cms_width"] = Json(uint64_t(c.width));
+            e["kll_k"] = Json(uint64_t(c.kllK));
+            e["hot_key"] = Json(r.hotKey);
+            e["rare_key"] = Json(r.rareKey);
+            e["hot_exact"] = Json(r.hotCnt);
+            e["rare_exact"] = Json(r.rareCnt);
+            e["hot_est"] = Json(c.estHot);
+            e["rare_est"] = Json(c.estRare);
+            e["static_est"] = Json(r.staticEst);
+            e["hot_parallel"] = Json(c.hotPar);
+            e["rare_parallel"] = Json(c.rarePar);
+            e["static_hot_parallel"] = Json(r.staticHotPar);
+            e["oracle_hot_parallel"] = Json(r.oracleHotPar);
+            e["oracle_rare_parallel"] = Json(r.oracleRarePar);
+            e["underestimates"] = Json(c.underestimates);
+            e["within_bound_frac"] = Json(c.withinFrac);
+            e["epsilon"] = Json(c.eps);
+            e["kll_rank_bound"] = Json(c.kllBound);
+            e["kll_ok"] = Json(c.kllOk);
+            cells.push(std::move(e));
         }
-        ctx.results()["resize_curve"] = std::move(curveJson);
-        Json kllJson = Json::array();
-        for (const KllRung &r : kllCurve) {
-            Json e = Json::object();
-            e["k"] = Json(uint64_t(r.k));
-            e["bytes"] = Json(r.bytes);
-            e["rank_err_bound"] = Json(r.bound);
-            kllJson.push(std::move(e));
-        }
-        ctx.results()["kll_shrink_curve"] = std::move(kllJson);
-        Json v = Json::object();
-        v["plan_flips"] = Json(plan_flips);
-        v["bounds_ok"] = Json(bounds_ok);
-        v["resize_monotone"] = Json(resize_ok);
-        v["pass"] = Json(pass);
-        ctx.results()["verdict"] = std::move(v);
+    ctx.results()["cells"] = std::move(cells);
+    Json curveJson = Json::array();
+    for (const Rung &r : curve) {
+        Json e = Json::object();
+        e["width"] = Json(uint64_t(r.width));
+        e["bytes"] = Json(r.bytes);
+        e["epsilon"] = Json(r.eps);
+        e["mean_abs_err"] = Json(r.mae);
+        e["fold_bit_identical"] = Json(r.bitIdentical);
+        curveJson.push(std::move(e));
     }
-    return pass ? 0 : 1;
+    ctx.results()["resize_curve"] = std::move(curveJson);
+    Json kllJson = Json::array();
+    for (const KllRung &r : kllCurve) {
+        Json e = Json::object();
+        e["k"] = Json(uint64_t(r.k));
+        e["bytes"] = Json(r.bytes);
+        e["rank_err_bound"] = Json(r.bound);
+        kllJson.push(std::move(e));
+    }
+    ctx.results()["kll_shrink_curve"] = std::move(kllJson);
+    Json v = Json::object();
+    v["plan_flips"] = Json(plan_flips);
+    v["bounds_ok"] = Json(bounds_ok);
+    v["resize_monotone"] = Json(resize_ok);
+    ctx.verdict(pass, std::move(v));
+    return ctx.finish();
 }

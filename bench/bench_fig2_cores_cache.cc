@@ -110,5 +110,5 @@ main(int argc, char **argv)
          "(16->32) hurts compute-bound TPC-H at small SF and helps at "
          "large SF; cache curves rise steeply at small allocations and "
          "flatten (knees); MPKI falls monotonically.");
-    return 0;
+    return ctx.finish();
 }

@@ -123,5 +123,5 @@ main(int argc, char **argv)
          "SSD use is write-heavy (log), TPC-H's is read-heavy; all "
          "bandwidths stay below the device/DRAM peaks "
          "(under-utilized).");
-    return 0;
+    return ctx.finish();
 }

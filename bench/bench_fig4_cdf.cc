@@ -79,5 +79,5 @@ main(int argc, char **argv)
          "and DRAM bandwidths, HTAP SF=15000 next; transactional "
          "workloads use less bandwidth but a larger share of their SSD "
          "traffic is writes.");
-    return 0;
+    return ctx.finish();
 }

@@ -102,5 +102,5 @@ main(int argc, char **argv)
          "traffic vs the paper's higher demand, so the knee sits at a "
          "lower limit: expect WRITELOG waits to explode at 50 MB/s "
          "but TPS to collapse only below ~25 MB/s (EXPERIMENTS.md).");
-    return 0;
+    return ctx.finish();
 }

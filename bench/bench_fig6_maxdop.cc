@@ -86,5 +86,5 @@ main(int argc, char **argv)
          "chosen; at large SF speedup(dop=1) << 1 for nearly all "
          "queries; Q20's plan changes algorithm at high MAXDOP "
          "(see bench_fig7_plans).");
-    return 0;
+    return ctx.finish();
 }

@@ -69,14 +69,12 @@ main(int argc, char **argv)
                 m1 / 1e6, m32 / 1e6,
                 m32 > 0 ? 100.0 * (1.0 - m1 / m32) : 0.0);
 
-    if (ctx.jsonRequested()) {
-        ctx.results()["serial_signature"] = Json(s1);
-        ctx.results()["parallel_signature"] = Json(s32);
-        ctx.results()["plans_differ"] = Json(s1 != s32);
-        ctx.results()["serial_mem_bytes"] = Json(m1);
-        ctx.results()["parallel_mem_bytes"] = Json(m32);
-        ctx.results()["serial_profile"] = toJson(p1.profile);
-        ctx.results()["parallel_profile"] = toJson(p32.profile);
-    }
-    return 0;
+    ctx.results()["serial_signature"] = Json(s1);
+    ctx.results()["parallel_signature"] = Json(s32);
+    ctx.results()["plans_differ"] = Json(s1 != s32);
+    ctx.results()["serial_mem_bytes"] = Json(m1);
+    ctx.results()["parallel_mem_bytes"] = Json(m32);
+    ctx.results()["serial_profile"] = toJson(p1.profile);
+    ctx.results()["parallel_profile"] = toJson(p32.profile);
+    return ctx.finish();
 }

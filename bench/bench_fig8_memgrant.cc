@@ -71,5 +71,5 @@ main(int argc, char **argv)
     note("Shape checks: values <= ~1.0; most queries flat; the "
          "heavy-build queries degrade as the grant shrinks, with the "
          "biggest drops at M=2%.");
-    return 0;
+    return ctx.finish();
 }

@@ -21,17 +21,9 @@ main(int argc, char **argv)
     using namespace dbsens;
     using namespace dbsens::bench;
 
-    // BenchContext rejects unknown flags, so strip `--small` first.
-    bool small = false;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--small")
-            small = true;
-        else
-            args.push_back(argv[i]);
-    }
-    BenchContext ctx(int(args.size()), args.data(),
-                     "bench_fig9_faults");
+    BenchContext ctx(argc, argv, "bench_fig9_faults",
+                     /*has_small=*/true);
+    const bool small = ctx.small();
 
     const int oltp_sf = small ? 500 : 2000;
     const SimDuration window =
@@ -221,16 +213,13 @@ main(int argc, char **argv)
              "from the last fuzzy checkpoint and finishes the window.");
     }
 
-    if (ctx.jsonRequested()) {
-        RunConfig cfg = base_cfg();
-        ctx.config()["workload"] = Json("FAULTS");
-        ctx.config()["run"] = toJson(cfg);
-        ctx.config()["small"] = Json(small);
-        ctx.results()["intensity"] = std::move(intensity);
-        ctx.results()["brownout"] = std::move(brownout);
-        ctx.results()["degrade"] = std::move(degrade);
-        ctx.results()["grant_sheds"] = std::move(sheds);
-        ctx.results()["crash_recovery"] = std::move(crash);
-    }
-    return 0;
+    RunConfig cfg = base_cfg();
+    ctx.config()["workload"] = Json("FAULTS");
+    ctx.config()["run"] = toJson(cfg);
+    ctx.results()["intensity"] = std::move(intensity);
+    ctx.results()["brownout"] = std::move(brownout);
+    ctx.results()["degrade"] = std::move(degrade);
+    ctx.results()["grant_sheds"] = std::move(sheds);
+    ctx.results()["crash_recovery"] = std::move(crash);
+    return ctx.finish();
 }

@@ -139,5 +139,5 @@ main(int argc, char **argv)
         note("treating the DBMS as a black box (pitfall #7) misses "
              "this adaptation entirely.");
     }
-    return 0;
+    return ctx.finish();
 }

@@ -104,5 +104,5 @@ main(int argc, char **argv)
     note("\nShape check: every workload reaches 90% well below the "
          "full 40 MB (over-provisioned LLC); analytical/hybrid "
          "workloads need somewhat more than transactional ones.");
-    return 0;
+    return ctx.finish();
 }

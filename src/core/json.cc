@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include "core/logging.h"
 
@@ -423,6 +425,23 @@ Json::parse(const std::string &text, std::string *err)
     if (err)
         err->clear();
     return out;
+}
+
+Json
+Json::readFile(const std::string &path, std::string *err)
+{
+    std::ifstream in(path);
+    if (!in) {
+        if (err)
+            *err = "cannot read " + path;
+        return Json();
+    }
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    Json doc = parse(ss.str(), err);
+    if (err && !err->empty())
+        *err = path + ": parse error: " + *err;
+    return doc;
 }
 
 } // namespace dbsens

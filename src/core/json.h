@@ -103,6 +103,14 @@ class Json
      */
     static Json parse(const std::string &text, std::string *err = nullptr);
 
+    /**
+     * Read and parse a JSON file. When the file cannot be opened or
+     * parsed returns a Null value and, when `err` is non-null, stores
+     * "cannot read <path>" or "<path>: parse error: <detail>".
+     */
+    static Json readFile(const std::string &path,
+                         std::string *err = nullptr);
+
     /** Escape a string for embedding in a JSON document (no quotes). */
     static std::string escape(const std::string &s);
 

@@ -261,12 +261,8 @@ SimRun::SimRun(Database &db, const RunConfig &cfg, EventLoop *ext)
         TuneConfig tc = cfg.tune;
         if (tc.startDelay <= 0)
             tc.startDelay = cfg.warmup;
-        ResourceTotals totals;
-        totals.cores = cfg.cores;
-        totals.llcMb = cfg.llcMb;
-        totals.maxdop = cfg.maxdop;
-        totals.grantBytes = queryGrantBytes();
-        autopilot = std::make_unique<Autopilot>(loop, tc, totals);
+        autopilot =
+            std::make_unique<Autopilot>(loop, tc, resourceTotals(cfg));
         Autopilot::Actuators act;
         act.setCoreLease = [this](int t, uint64_t mask) {
             cpu.setTenantMask(t, mask);

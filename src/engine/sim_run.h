@@ -140,6 +140,23 @@ struct RunConfig
     uint64_t walLsnBase = 0;
 };
 
+/**
+ * The run's total resources, the ones the engine hands the autopilot
+ * (and that a bench uses to build candidate partitions): the config's
+ * cores, LLC and MAXDOP, and its query grant budget.
+ */
+inline ResourceTotals
+resourceTotals(const RunConfig &cfg)
+{
+    ResourceTotals t;
+    t.cores = cfg.cores;
+    t.llcMb = cfg.llcMb;
+    t.maxdop = cfg.maxdop;
+    t.grantBytes = uint64_t(cfg.grantFraction *
+                            double(calib::queryMemoryRealBytes()));
+    return t;
+}
+
 /** One experiment's simulated server and measurement state. */
 class SimRun
 {
@@ -234,8 +251,7 @@ class SimRun
     uint64_t
     queryGrantBytes() const
     {
-        return uint64_t(cfg_.grantFraction *
-                        double(calib::queryMemoryRealBytes()));
+        return resourceTotals(cfg_).grantBytes;
     }
 
     /** Register the standard counter set and start sampling. The

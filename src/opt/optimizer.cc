@@ -115,8 +115,7 @@ Optimizer::selectivityFor(const Expr &e, const TableHandle *th,
         if (!prefix.empty() &&
             colname.compare(0, prefix.size(), prefix) == 0)
             colname = colname.substr(prefix.size());
-        const auto *cs = ensureColumnStats(*cfg_.sketch, *th, colname,
-                                           cfg_.sketchPool);
+        const auto *cs = ensureColumnStats(*cfg_.sketch, *th, colname);
         if (!cs || cs->rows == 0)
             return selectivity(e);
         const double n = double(cs->rows);
@@ -168,8 +167,7 @@ Optimizer::selectivityFor(const Expr &e, const TableHandle *th,
         if (!prefix.empty() &&
             colname.compare(0, prefix.size(), prefix) == 0)
             colname = colname.substr(prefix.size());
-        const auto *cs = ensureColumnStats(*cfg_.sketch, *th, colname,
-                                           cfg_.sketchPool);
+        const auto *cs = ensureColumnStats(*cfg_.sketch, *th, colname);
         if (!cs || !cs->hasCms || cs->rows == 0)
             return selectivity(e);
         double hits = 0;

@@ -27,7 +27,6 @@
 
 namespace dbsens {
 
-class WorkerPool;
 namespace sketch {
 class SketchHub;
 }
@@ -62,8 +61,6 @@ struct OptimizerConfig
      * estimates and byte-identical plans.
      */
     sketch::SketchHub *sketch = nullptr;
-    /** Workers for the lazy sketch build (null ⇒ inline). */
-    WorkerPool *sketchPool = nullptr;
 };
 
 /** Cost-based optimizer. */

@@ -20,7 +20,7 @@ struct Partial
 
 const sketch::SketchHub::ColumnStats *
 ensureColumnStats(sketch::SketchHub &hub, const TableHandle &th,
-                  const std::string &column, WorkerPool *pool)
+                  const std::string &column)
 {
     if (const auto *cs = hub.findColumn(th.name, column))
         return cs;
@@ -39,11 +39,11 @@ ensureColumnStats(sketch::SketchHub &hub, const TableHandle &th,
     const ColumnData &col = data.column(column);
     const size_t nrows = data.rowCount();
 
-    // Per-worker partials; CMS partials share the column seed (merge
-    // requires it), KLL partials are seeded by morsel index so the
-    // build is bit-identical for any worker count.
+    // Per-morsel partials; CMS partials share the column seed (merge
+    // requires it), KLL partials are seeded by morsel index, which
+    // fixes the merged sketch's contents.
     auto parts = morselMap<Partial>(
-        pool, nrows, 0,
+        nullptr, nrows, 0,
         [&](size_t m, size_t begin, size_t end) {
             Partial p;
             if (cs.hasCms)
@@ -66,7 +66,7 @@ ensureColumnStats(sketch::SketchHub &hub, const TableHandle &th,
             return p;
         });
 
-    // Merge in morsel order (worker-count independent).
+    // Merge in morsel order.
     for (auto &p : parts) {
         if (p.cms)
             cs.cms.merge(*p.cms);

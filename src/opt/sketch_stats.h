@@ -2,9 +2,8 @@
  * @file
  * Lazy builder of per-column sketch statistics for the optimizer
  * (DESIGN.md Section 16). The first predicate that touches a numeric
- * column scans it once — morselized, per-worker partial sketches
- * merged *in morsel order*, so the resulting sketch is bit-identical
- * for any worker count — and memoizes the result in the run's
+ * column scans it once — morselized, one partial sketch per morsel,
+ * merged *in morsel order* — and memoizes the result in the run's
  * SketchHub. Int64 columns get a CountMin frequency sketch plus a
  * KLL quantile sketch; Double columns get the KLL only; String
  * columns are not sketched (callers fall back to the static
@@ -21,16 +20,13 @@
 
 namespace dbsens {
 
-class WorkerPool;
-
 /**
  * Sketch statistics for `column` of `th`, building them on first
- * request (on `pool` when given, inline otherwise). Returns null for
- * absent or non-numeric columns.
+ * request. Returns null for absent or non-numeric columns.
  */
 const sketch::SketchHub::ColumnStats *
 ensureColumnStats(sketch::SketchHub &hub, const TableHandle &th,
-                  const std::string &column, WorkerPool *pool);
+                  const std::string &column);
 
 } // namespace dbsens
 

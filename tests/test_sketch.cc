@@ -589,8 +589,7 @@ TEST(OptimizerSketch, LiveStatsFlipThePlanWhereStaticStaysWrong)
     EXPECT_LT(rare_est, 100.0);
 
     // String/absent columns fall back to static heuristics (null).
-    EXPECT_EQ(ensureColumnStats(hub, resolver.find("fact"), "nope",
-                                nullptr),
+    EXPECT_EQ(ensureColumnStats(hub, resolver.find("fact"), "nope"),
               nullptr);
 }
 

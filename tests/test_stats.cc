@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 
 #include "core/histogram.h"
 #include "core/json.h"
@@ -67,6 +69,41 @@ TEST(Json, ParseRejectsMalformed)
     EXPECT_FALSE(err.empty());
     Json::parse("{} trailing", &err);
     EXPECT_FALSE(err.empty());
+}
+
+TEST(Json, ReadFileRoundTripsWriteFile)
+{
+    const std::string path = ::testing::TempDir() + "json_roundtrip.json";
+    Json doc = Json::object();
+    doc["bench"] = Json("x");
+    doc["n"] = Json(3);
+    doc["v"] = Json::array();
+    doc["v"].push(Json(1.5));
+    ASSERT_TRUE(doc.writeFile(path));
+    std::string err = "stale";
+    const Json back = Json::readFile(path, &err);
+    EXPECT_TRUE(err.empty()) << err;
+    EXPECT_EQ(back.dump(), doc.dump());
+    std::remove(path.c_str());
+}
+
+TEST(Json, ReadFileReportsMissingFile)
+{
+    const std::string path = ::testing::TempDir() + "json_missing.json";
+    std::remove(path.c_str());
+    std::string err;
+    EXPECT_TRUE(Json::readFile(path, &err).isNull());
+    EXPECT_EQ(err, "cannot read " + path);
+}
+
+TEST(Json, ReadFileReportsMalformedFile)
+{
+    const std::string path = ::testing::TempDir() + "json_bad.json";
+    std::ofstream(path) << "{\"a\": }";
+    std::string err;
+    EXPECT_TRUE(Json::readFile(path, &err).isNull());
+    EXPECT_EQ(err.rfind(path + ": parse error: ", 0), 0u) << err;
+    std::remove(path.c_str());
 }
 
 TEST(Json, NonFiniteNumbersSerializeAsNull)

@@ -17,8 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <sys/stat.h>
 
@@ -51,19 +49,10 @@ usage(const char *argv0)
 int
 replayFile(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "dbsens_chaos: cannot open %s\n",
-                     path.c_str());
-        return 2;
-    }
-    std::stringstream ss;
-    ss << in.rdbuf();
     std::string err;
-    const Json repro = Json::parse(ss.str(), &err);
-    if (repro.isNull()) {
-        std::fprintf(stderr, "dbsens_chaos: %s: %s\n", path.c_str(),
-                     err.c_str());
+    const Json repro = Json::readFile(path, &err);
+    if (!err.empty()) {
+        std::fprintf(stderr, "dbsens_chaos: %s\n", err.c_str());
         return 2;
     }
     std::string detail;

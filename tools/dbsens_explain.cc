@@ -23,8 +23,6 @@
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,27 +31,6 @@
 namespace {
 
 using dbsens::Json;
-
-bool
-loadJson(const std::string &path, Json *out)
-{
-    std::ifstream in(path);
-    if (!in) {
-        std::fprintf(stderr, "dbsens_explain: cannot read %s\n",
-                     path.c_str());
-        return false;
-    }
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    std::string err;
-    *out = Json::parse(ss.str(), &err);
-    if (!err.empty()) {
-        std::fprintf(stderr, "dbsens_explain: %s: parse error: %s\n",
-                     path.c_str(), err.c_str());
-        return false;
-    }
-    return true;
-}
 
 double
 num(const Json &j, const std::string &key, double dflt = 0)
@@ -437,9 +414,12 @@ main(int argc, char **argv)
         return 2;
     }
 
-    Json doc;
-    if (!loadJson(path, &doc))
+    std::string err;
+    const Json doc = Json::readFile(path, &err);
+    if (!err.empty()) {
+        std::fprintf(stderr, "dbsens_explain: %s\n", err.c_str());
         return 1;
+    }
 
     std::vector<std::pair<std::string, const Json *>> hits;
     collect(doc, "", &hits);

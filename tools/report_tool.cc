@@ -37,8 +37,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -48,35 +46,15 @@ namespace {
 
 using dbsens::Json;
 
-bool
-readFile(const std::string &path, std::string *out)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    *out = ss.str();
-    return true;
-}
-
+/** Json::readFile, printing its error; false on failure. */
 bool
 loadJson(const std::string &path, Json *out)
 {
-    std::string text;
-    if (!readFile(path, &text)) {
-        std::fprintf(stderr, "report_tool: cannot read %s\n",
-                     path.c_str());
-        return false;
-    }
     std::string err;
-    *out = Json::parse(text, &err);
-    if (!err.empty()) {
-        std::fprintf(stderr, "report_tool: %s: parse error: %s\n",
-                     path.c_str(), err.c_str());
-        return false;
-    }
-    return true;
+    *out = Json::readFile(path, &err);
+    if (!err.empty())
+        std::fprintf(stderr, "report_tool: %s\n", err.c_str());
+    return err.empty();
 }
 
 const char *
