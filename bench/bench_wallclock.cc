@@ -170,7 +170,6 @@ main(int argc, char **argv)
     const dbsens::Pr1Baseline pr1;
     const double filter_ref = rep.at("BM_FilterScalarRef");
     const double filter_vec = rep.at("BM_FilterVectorized");
-    const double filter_comp = rep.at("BM_FilterCompressed");
     const double eval_col = rep.at("BM_EvalColumn");
     const double agg_ref = rep.at("BM_HashAggRef");
     const double agg_flat = rep.at("BM_HashAggFlat");
@@ -192,7 +191,6 @@ main(int argc, char **argv)
     printf("  \"current\": {\n");
     printf("    \"filter_scalar_ref_ms\": %.3f,\n", filter_ref);
     printf("    \"filter_vectorized_ms\": %.3f,\n", filter_vec);
-    printf("    \"filter_compressed_ms\": %.3f,\n", filter_comp);
     printf("    \"eval_column_ms\": %.3f,\n", eval_col);
     printf("    \"hash_agg_ref_ms\": %.3f,\n", agg_ref);
     printf("    \"hash_agg_flat_ms\": %.3f,\n", agg_flat);
@@ -206,8 +204,6 @@ main(int argc, char **argv)
     printf("  \"bytes_per_pass\": {\n");
     printf("    \"filter_vectorized\": %.0f,\n",
            rep.counter("BM_FilterVectorized", "bytes_per_pass"));
-    printf("    \"filter_compressed\": %.0f,\n",
-           rep.counter("BM_FilterCompressed", "bytes_per_pass"));
     printf("    \"eval_column\": %.0f,\n",
            rep.counter("BM_EvalColumn", "bytes_per_pass"));
     printf("    \"hash_agg_flat\": %.0f,\n",
@@ -218,8 +214,6 @@ main(int argc, char **argv)
     printf("  \"bytes_per_ms\": {\n");
     printf("    \"filter_vectorized\": %.0f,\n",
            rep.bytesPerMs("BM_FilterVectorized"));
-    printf("    \"filter_compressed\": %.0f,\n",
-           rep.bytesPerMs("BM_FilterCompressed"));
     printf("    \"eval_column\": %.0f,\n",
            rep.bytesPerMs("BM_EvalColumn"));
     printf("    \"hash_agg_flat\": %.0f,\n",
@@ -271,8 +265,6 @@ main(int argc, char **argv)
     printf("  \"speedup_vs_pr1\": {\n");
     printf("    \"filter\": %.2f,\n",
            ratio(pr1.filter_vectorized_ms, filter_vec));
-    printf("    \"filter_compressed\": %.2f,\n",
-           ratio(pr1.filter_vectorized_ms, filter_comp));
     printf("    \"eval_column\": %.2f,\n",
            ratio(pr1.eval_column_ms, eval_col));
     printf("    \"hash_agg\": %.2f,\n",

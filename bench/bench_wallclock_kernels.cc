@@ -24,7 +24,6 @@
 #include "exec/flat_hash.h"
 #include "exec/morsel.h"
 #include "hw/cache_feed.h"
-#include "storage/encoded_column.h"
 #include "wallclock_params.h"
 
 namespace dbsens {
@@ -74,39 +73,6 @@ q6Pred()
                      lt(col("ship"), lit(int64_t(9365)))),
                 land(between(col("disc"), Value(0.05), Value(0.07)),
                      lt(col("qty"), lit(int64_t(24)))));
-}
-
-/**
- * testChunk() with every column compressed: ship/qty bit-pack (12 and
- * 6 bits), disc dictionary (11 distinct), price overflows the
- * dictionary and stays Raw — the adversarial mix, on purpose.
- */
-const Chunk &
-encodedChunk()
-{
-    static const Chunk chunk = [] {
-        const Chunk &src = testChunk();
-        Chunk c;
-        for (const auto &cv : src.columns()) {
-            auto enc = std::make_shared<const EncodedColumn>(
-                cv.type() == TypeId::Double
-                    ? EncodedColumn::encodeDoubles(cv.doubles())
-                    : EncodedColumn::encodeInts(cv.ints()));
-            c.addColumn(ColumnVector::encoded(cv.name(), enc));
-        }
-        return c;
-    }();
-    return chunk;
-}
-
-/** Sum of the compressed footprints of encodedChunk()'s columns. */
-size_t
-encodedBytes()
-{
-    size_t total = 0;
-    for (const auto &cv : encodedChunk().columns())
-        total += cv.encodedData()->packedBytes();
-    return total;
 }
 
 struct JoinData
@@ -184,29 +150,6 @@ BM_FilterVectorized(benchmark::State &state)
     state.counters["matches"] = double(matches);
 }
 BENCHMARK(BM_FilterVectorized)->Repetitions(3);
-
-/**
- * Same predicate over the compressed chunk: comparisons translated to
- * the code domain, selection compaction on packed codes — the pass
- * streams the compressed bytes, not the decoded 32 MB.
- */
-void
-BM_FilterCompressed(benchmark::State &state)
-{
-    const Chunk &chunk = encodedChunk();
-    auto pred = q6Pred();
-    size_t matches = 0;
-    for (auto _ : state) {
-        auto sel = filterRows(pred, chunk);
-        matches = sel.size();
-        benchmark::DoNotOptimize(sel.data());
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) *
-                            int64_t(chunk.rows()));
-    setBytes(state, encodedBytes());
-    state.counters["matches"] = double(matches);
-}
-BENCHMARK(BM_FilterCompressed)->Repetitions(3);
 
 /** Morsel-parallel vectorized filter; Arg = worker count. */
 void

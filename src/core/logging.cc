@@ -6,47 +6,25 @@ namespace dbsens {
 
 namespace {
 
-/**
- * Initial verbosity from the DBSENS_VERBOSE environment variable
- * ("1"/"2", or any non-empty value for level 1). Tests and benches
- * may still assign logVerbosity directly afterwards.
- */
-int
-verbosityFromEnv()
-{
-    const char *env = std::getenv("DBSENS_VERBOSE");
-    if (!env || !*env)
-        return 0;
-    if (env[0] >= '0' && env[0] <= '9')
-        return env[0] - '0';
-    return 1;
-}
-
-} // namespace
-
-int logVerbosity = verbosityFromEnv();
-
-namespace detail {
-
 void
 logLine(const char *tag, const std::string &msg)
 {
     std::fprintf(stderr, "%s: %s\n", tag, msg.c_str());
 }
 
-} // namespace detail
+} // namespace
 
 void
 panic(const std::string &msg)
 {
-    detail::logLine("panic", msg);
+    logLine("panic", msg);
     std::abort();
 }
 
 void
 fatal(const std::string &msg)
 {
-    detail::logLine("fatal", msg);
+    logLine("fatal", msg);
     std::exit(1);
 }
 
@@ -54,22 +32,7 @@ void
 warn(const std::string &msg)
 {
     globalStats().counter("log.warn_count").inc();
-    detail::logLine("warn", msg);
-}
-
-void
-inform(const std::string &msg)
-{
-    globalStats().counter("log.inform_count").inc();
-    if (logVerbosity >= 1)
-        detail::logLine("info", msg);
-}
-
-void
-debugLog(const std::string &msg)
-{
-    if (logVerbosity >= 2)
-        detail::logLine("debug", msg);
+    logLine("warn", msg);
 }
 
 } // namespace dbsens

@@ -2,8 +2,8 @@
  * @file
  * Minimal logging and error-termination helpers, following the
  * gem5-style split: panic() for internal invariant violations (aborts),
- * fatal() for user/configuration errors (clean exit), warn()/inform()
- * for status.
+ * fatal() for user/configuration errors (clean exit), warn() for
+ * survivable oddities. All three write one line to stderr.
  */
 
 #ifndef DBSENS_CORE_LOGGING_H
@@ -15,31 +15,15 @@
 
 namespace dbsens {
 
-/**
- * Global verbosity: 0 = quiet, 1 = inform, 2 = debug. Initialized
- * from the DBSENS_VERBOSE environment variable ("1"/"2"; any other
- * non-empty value means 1); tests and benches may assign it directly.
- */
-extern int logVerbosity;
-
-namespace detail {
-void logLine(const char *tag, const std::string &msg);
-} // namespace detail
-
 /** Report a condition that indicates a bug in dbsens itself and abort. */
 [[noreturn]] void panic(const std::string &msg);
 
 /** Report an unrecoverable user/configuration error and exit(1). */
 [[noreturn]] void fatal(const std::string &msg);
 
-/** Report a suspicious-but-survivable condition. */
+/** Report a suspicious-but-survivable condition (counted in
+ * globalStats() as `log.warn_count`). */
 void warn(const std::string &msg);
-
-/** Report normal operating status (suppressed when verbosity == 0). */
-void inform(const std::string &msg);
-
-/** Debug chatter (only with verbosity >= 2). */
-void debugLog(const std::string &msg);
 
 } // namespace dbsens
 

@@ -1,7 +1,5 @@
 #include "core/stats.h"
 
-#include <algorithm>
-
 #include "core/logging.h"
 
 namespace dbsens {
@@ -43,24 +41,6 @@ StatsRegistry::gauge(const std::string &name, std::function<double()> fn,
     stats_.emplace(name, std::move(s));
 }
 
-StatHistogram &
-StatsRegistry::histogram(const std::string &name, const std::string &desc)
-{
-    auto it = stats_.find(name);
-    if (it != stats_.end()) {
-        if (it->second.kind != Kind::Histogram)
-            panic("stat '" + name +
-                  "' already registered as non-histogram");
-        return *it->second.histogram;
-    }
-    Stat s;
-    s.kind = Kind::Histogram;
-    s.desc = desc;
-    s.histogram = std::make_unique<StatHistogram>();
-    auto [pos, _] = stats_.emplace(name, std::move(s));
-    return *pos->second.histogram;
-}
-
 bool
 StatsRegistry::has(const std::string &name) const
 {
@@ -68,8 +48,7 @@ StatsRegistry::has(const std::string &name) const
 }
 
 void
-StatsRegistry::unknownStat(const std::string &name,
-                           const char *what) const
+StatsRegistry::unknownStat(const std::string &name) const
 {
     std::string known;
     for (const auto &[n, _] : stats_) {
@@ -77,27 +56,17 @@ StatsRegistry::unknownStat(const std::string &name,
             known += ", ";
         known += n;
     }
-    panic(std::string("no ") + what + " stat '" + name +
-          "'; registered: [" + known + "]");
+    panic("no stat '" + name + "'; registered: [" + known + "]");
 }
 
 double
 StatsRegistry::value(const std::string &name) const
 {
     auto it = stats_.find(name);
-    if (it == stats_.end() || it->second.kind == Kind::Histogram)
-        unknownStat(name, "scalar");
+    if (it == stats_.end())
+        unknownStat(name);
     return it->second.kind == Kind::Counter ? it->second.counter->value()
                                             : it->second.gaugeFn();
-}
-
-const StatHistogram &
-StatsRegistry::histogramAt(const std::string &name) const
-{
-    auto it = stats_.find(name);
-    if (it == stats_.end() || it->second.kind != Kind::Histogram)
-        unknownStat(name, "histogram");
-    return *it->second.histogram;
 }
 
 std::vector<std::string>
@@ -108,90 +77,6 @@ StatsRegistry::names() const
     for (const auto &[n, _] : stats_)
         out.push_back(n);
     return out;
-}
-
-std::vector<std::string>
-StatsRegistry::namesUnder(const std::string &prefix) const
-{
-    std::vector<std::string> out;
-    if (prefix.empty())
-        return names();
-    const std::string dotted = prefix + ".";
-    for (auto it = stats_.lower_bound(dotted); it != stats_.end(); ++it) {
-        if (it->first.compare(0, dotted.size(), dotted) != 0)
-            break;
-        out.push_back(it->first);
-    }
-    return out;
-}
-
-std::vector<std::string>
-StatsRegistry::childrenOf(const std::string &prefix) const
-{
-    std::vector<std::string> out;
-    const size_t skip = prefix.empty() ? 0 : prefix.size() + 1;
-    for (const std::string &full : namesUnder(prefix)) {
-        const std::string rest = full.substr(skip);
-        const size_t dot = rest.find('.');
-        const std::string child =
-            dot == std::string::npos ? rest : rest.substr(0, dot);
-        if (out.empty() || out.back() != child)
-            out.push_back(child);
-    }
-    // namesUnder is sorted, so equal children are adjacent; the
-    // back-check above already deduplicated.
-    return out;
-}
-
-void
-StatsRegistry::reset()
-{
-    for (auto &[_, s] : stats_) {
-        if (s.counter)
-            s.counter->reset();
-        if (s.histogram)
-            s.histogram->reset();
-    }
-}
-
-Json
-StatsRegistry::toJson() const
-{
-    Json root = Json::object();
-    for (const auto &[name, s] : stats_) {
-        // Walk/create the nested objects for each dotted segment.
-        Json *node = &root;
-        size_t start = 0;
-        for (;;) {
-            const size_t dot = name.find('.', start);
-            if (dot == std::string::npos)
-                break;
-            node = &(*node)[name.substr(start, dot - start)];
-            start = dot + 1;
-        }
-        const std::string leaf = name.substr(start);
-        switch (s.kind) {
-          case Kind::Counter:
-            (*node)[leaf] = Json(s.counter->value());
-            break;
-          case Kind::Gauge:
-            (*node)[leaf] = Json(s.gaugeFn());
-            break;
-          case Kind::Histogram: {
-            Json h = Json::object();
-            const StatHistogram &hist = *s.histogram;
-            h["count"] = Json(uint64_t(hist.count()));
-            h["mean"] = Json(hist.mean());
-            h["p50"] = Json(hist.percentile(0.5));
-            h["p90"] = Json(hist.percentile(0.9));
-            h["p99"] = Json(hist.percentile(0.99));
-            h["max"] = Json(hist.percentile(1.0));
-            (*node)[leaf] = std::move(h);
-            break;
-          }
-        }
-    }
-    return root;
 }
 
 StatsRegistry &

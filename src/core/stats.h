@@ -3,22 +3,21 @@
  * Hierarchical stats registry (gem5-style). Every simulated component
  * registers named statistics under a dotted path — e.g.
  * `bufferpool.misses`, `ssd.read_bytes`, `sched.core3.busy_ns` — so
- * harnesses, benches, and the JSON run report read one namespace
- * instead of poking component-private accessors.
+ * harnesses and benches read one namespace instead of poking
+ * component-private accessors.
  *
- * Three stat kinds:
+ * Two stat kinds:
  *  - Counter: an owned monotonically-increasing value the component
  *    bumps directly (used where no private field exists, e.g. the
- *    logging warn/inform counts).
+ *    logging warn count).
  *  - Gauge: a callback over an existing component field. Registration
- *    is free on the hot path — the value is only read when sampled or
- *    dumped, which keeps simulated results bit-identical.
- *  - StatHistogram: a sample distribution with exact percentiles.
+ *    is free on the hot path — the value is only read when sampled,
+ *    which keeps simulated results bit-identical.
  *
  * The registry is passive: it never schedules events and reading it
- * has no simulation side effects. `MetricSampler` (sim/sampler.h)
- * samples registry entries by name; `Json` dumps serialize the whole
- * tree for run reports.
+ * has no simulation side effects. Readers look stats up by name:
+ * `MetricSampler` (sim/sampler.h), the obs series hub and the
+ * autopilot sample them during a run; benches read final values.
  */
 
 #ifndef DBSENS_CORE_STATS_H
@@ -31,9 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "core/histogram.h"
-#include "core/json.h"
-
 namespace dbsens {
 
 /** Owned cumulative counter. */
@@ -43,25 +39,9 @@ class StatCounter
     void add(double v) { value_ += v; }
     void inc() { value_ += 1; }
     double value() const { return value_; }
-    void reset() { value_ = 0; }
 
   private:
     double value_ = 0;
-};
-
-/** Sample distribution stat with exact percentiles. */
-class StatHistogram
-{
-  public:
-    void add(double v) { dist_.add(v); }
-    size_t count() const { return dist_.count(); }
-    double mean() const { return dist_.mean(); }
-    double percentile(double q) const { return dist_.quantile(q); }
-    const Distribution &distribution() const { return dist_; }
-    void reset() { dist_ = Distribution(); }
-
-  private:
-    Distribution dist_;
 };
 
 /** Hierarchical registry of named stats. */
@@ -81,48 +61,17 @@ class StatsRegistry
     void gauge(const std::string &name, std::function<double()> fn,
                const std::string &desc = "");
 
-    /** Register (or fetch) a histogram stat. */
-    StatHistogram &histogram(const std::string &name,
-                             const std::string &desc = "");
-
     bool has(const std::string &name) const;
 
     /** Current value of a counter or gauge; panics with the list of
-     * registered names when `name` is unknown or a histogram. */
+     * registered names when `name` is unknown. */
     double value(const std::string &name) const;
-
-    const StatHistogram &histogramAt(const std::string &name) const;
 
     /** All registered names, sorted (deterministic iteration). */
     std::vector<std::string> names() const;
 
-    /**
-     * Hierarchy query: all names under a dotted prefix. A prefix of
-     * "ssd" matches "ssd.read_bytes" but not "ssd_other"; the empty
-     * prefix matches everything.
-     */
-    std::vector<std::string> namesUnder(const std::string &prefix) const;
-
-    /**
-     * Direct children of a node: namesUnder("sched") with one more
-     * path segment, deduplicated. E.g. {"core0", "core1", "busy_ns"}.
-     */
-    std::vector<std::string> childrenOf(const std::string &prefix) const;
-
-    /** Zero all counters and histograms (gauges read live state). */
-    void reset();
-
-    size_t size() const { return stats_.size(); }
-
-    /**
-     * Serialize the registry as a nested JSON object following the
-     * dot hierarchy. Counters/gauges become numbers; histograms
-     * become {count, mean, p50, p90, p99, max}.
-     */
-    Json toJson() const;
-
   private:
-    enum class Kind { Counter, Gauge, Histogram };
+    enum class Kind { Counter, Gauge };
 
     struct Stat
     {
@@ -130,20 +79,18 @@ class StatsRegistry
         std::string desc;
         std::unique_ptr<StatCounter> counter;
         std::function<double()> gaugeFn;
-        std::unique_ptr<StatHistogram> histogram;
     };
 
-    [[noreturn]] void unknownStat(const std::string &name,
-                                  const char *what) const;
+    [[noreturn]] void unknownStat(const std::string &name) const;
 
-    // Sorted by name: deterministic dumps and fast prefix scans.
+    // Sorted by name: deterministic iteration.
     std::map<std::string, Stat> stats_;
 };
 
 /**
  * Process-wide registry for stats that exist outside any SimRun
- * (logging counts, trace bookkeeping). SimRun owns its own registry
- * for per-experiment component stats.
+ * (the logging warn count). SimRun owns its own registry for
+ * per-experiment component stats.
  */
 StatsRegistry &globalStats();
 

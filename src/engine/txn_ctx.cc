@@ -52,14 +52,6 @@ TxnCtx::flushCpu()
 }
 
 Task<bool>
-TxnCtx::lockTable(const Database::Table &t, LockMode mode)
-{
-    co_await flushCpu();
-    co_return co_await run_.locks.acquire(id_, t.id, kInvalidRow, mode,
-                                          &run_.waits);
-}
-
-Task<bool>
 TxnCtx::lockRow(const Database::Table &t, RowId r, LockMode mode)
 {
     co_await flushCpu();

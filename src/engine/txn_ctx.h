@@ -55,9 +55,6 @@ class TxnCtx
     /** Spend accumulated CPU on a core (blocks for the burst). */
     Task<void> flushCpu();
 
-    /** Acquire a table-level intent lock. */
-    Task<bool> lockTable(const Database::Table &t, LockMode mode);
-
     /** Acquire a row lock; false means timeout (caller aborts). */
     Task<bool> lockRow(const Database::Table &t, RowId r, LockMode mode);
 

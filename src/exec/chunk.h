@@ -11,28 +11,17 @@
 #define DBSENS_EXEC_CHUNK_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/logging.h"
 #include "storage/column_data.h"
-#include "storage/encoded_column.h"
 
 namespace dbsens {
 
 /**
- * A column of an intermediate result.
- *
- * A ColumnVector normally owns a flat typed vector, but it can
- * instead *view* a compressed EncodedColumn (dictionary or bit-packed
- * storage; see storage/encoded_column.h). Encoded columns answer the
- * per-row accessors (intAt/doubleAt/numericAt/valueAt) by decoding on
- * the fly, and the vectorized expression kernels recognize them and
- * evaluate predicates directly on the compressed form. Anything that
- * needs the flat ints()/doubles() storage (hash join/agg key access)
- * must materialize first — gatherFrom/appendFrom from an encoded
- * source decode, so Chunk::gather does exactly that.
+ * A column of an intermediate result: a flat typed vector (Int64 and
+ * String share the int64 storage; strings hold dictionary codes).
  */
 class ColumnVector
 {
@@ -67,30 +56,14 @@ class ColumnVector
         return c;
     }
 
-    /** Compressed column view (no flat storage; decodes on access). */
-    static ColumnVector
-    encoded(std::string name, std::shared_ptr<const EncodedColumn> e)
-    {
-        ColumnVector c;
-        c.name_ = std::move(name);
-        c.type_ = e->type();
-        c.enc_ = std::move(e);
-        return c;
-    }
-
     const std::string &name() const { return name_; }
     void rename(std::string n) { name_ = std::move(n); }
     TypeId type() const { return type_; }
     const StringDict *dict() const { return dict_; }
 
-    /** Compressed backing store, or nullptr for flat columns. */
-    const EncodedColumn *encodedData() const { return enc_.get(); }
-
     size_t
     size() const
     {
-        if (enc_)
-            return enc_->size();
         return type_ == TypeId::Double ? dbl_.size() : i64_.size();
     }
 
@@ -108,24 +81,13 @@ class ColumnVector
     std::vector<double> &doubles() { return dbl_; }
     const std::vector<double> &doubles() const { return dbl_; }
 
-    int64_t
-    intAt(size_t i) const
-    {
-        return enc_ ? enc_->intAt(i) : i64_[i];
-    }
-
-    double
-    doubleAt(size_t i) const
-    {
-        return enc_ ? enc_->doubleAt(i) : dbl_[i];
-    }
+    int64_t intAt(size_t i) const { return i64_[i]; }
+    double doubleAt(size_t i) const { return dbl_[i]; }
 
     /** Numeric view of any non-string column. */
     double
     numericAt(size_t i) const
     {
-        if (enc_)
-            return enc_->numericAt(i);
         return type_ == TypeId::Double ? dbl_[i] : double(i64_[i]);
     }
 
@@ -150,34 +112,19 @@ class ColumnVector
     appendFrom(const ColumnVector &src, size_t i)
     {
         if (type_ == TypeId::Double)
-            dbl_.push_back(src.doubleAt(i));
+            dbl_.push_back(src.dbl_[i]);
         else
-            i64_.push_back(src.enc_ ? src.enc_->intAt(i) : src.i64_[i]);
+            i64_.push_back(src.i64_[i]);
     }
 
     /**
      * Append src[sel[i]] for every i — the type dispatch happens once
      * and the copy runs as a tight typed loop (the appendFrom shape
      * re-branches per row). Reserves the exact output size up front.
-     * An encoded source decodes here ("decode only surviving rows").
      */
     void
     gatherFrom(const ColumnVector &src, const std::vector<uint32_t> &sel)
     {
-        if (src.enc_) {
-            if (type_ == TypeId::Double) {
-                const size_t at = dbl_.size();
-                dbl_.resize(at + sel.size());
-                src.enc_->gatherNumeric(sel.data(), sel.size(), 0,
-                                        dbl_.data() + at);
-            } else {
-                const size_t at = i64_.size();
-                i64_.resize(at + sel.size());
-                src.enc_->gatherInts(sel.data(), sel.size(), 0,
-                                     i64_.data() + at);
-            }
-            return;
-        }
         if (type_ == TypeId::Double) {
             const std::vector<double> &s = src.dbl_;
             dbl_.reserve(dbl_.size() + sel.size());
@@ -195,7 +142,6 @@ class ColumnVector
     std::string name_;
     TypeId type_ = TypeId::Int64;
     const StringDict *dict_ = nullptr;
-    std::shared_ptr<const EncodedColumn> enc_;
     std::vector<int64_t> i64_;
     std::vector<double> dbl_;
 };

@@ -501,26 +501,6 @@ cmpKeep(CmpOp op, std::vector<uint32_t> &sel, GetA ga, GetB gb)
     }
 }
 
-/** exec CmpOp → storage EncCmp (same ordering by contract). */
-inline EncCmp
-encCmpOf(CmpOp op)
-{
-    return static_cast<EncCmp>(static_cast<uint8_t>(op));
-}
-
-/** Mirror a comparison for swapped operands (c op col ⇔ col op' c). */
-inline CmpOp
-swapCmp(CmpOp op)
-{
-    switch (op) {
-      case CmpOp::Lt: return CmpOp::Gt;
-      case CmpOp::Le: return CmpOp::Ge;
-      case CmpOp::Gt: return CmpOp::Lt;
-      case CmpOp::Ge: return CmpOp::Le;
-      default: return op;
-    }
-}
-
 /** Numeric-column comparison against whatever gb produces. */
 template <class GetB>
 void
@@ -536,6 +516,14 @@ cmpColKeep(CmpOp op, const ColumnVector &col, std::vector<uint32_t> &sel,
         cmpKeep(op, sel,
                 [d](size_t, uint32_t r) { return double(d[r]); }, gb);
     }
+}
+
+/** True for nodes a kernel can read per row without recursion:
+ * literals and column references. */
+inline bool
+isLeaf(const Node &nd)
+{
+    return nd.kind == ExprKind::Const || nd.kind == ExprKind::ColRef;
 }
 
 void
@@ -597,33 +585,7 @@ filterNode(const Pool &pool, int32_t ni, std::vector<uint32_t> &sel)
             });
             return;
         }
-        // Compressed fast path: column-vs-literal runs directly on
-        // the encoded form (per-code match table or code-range test);
-        // no decode happens for rejected rows.
-        const bool a_enc = a.kind == ExprKind::ColRef &&
-                           a.colv->encodedData() != nullptr;
-        const bool b_enc = b.kind == ExprKind::ColRef &&
-                           b.colv->encodedData() != nullptr;
-        if (a_enc && b.kind == ExprKind::Const) {
-            a.colv->encodedData()->filterCmp(encCmpOf(n.cmp),
-                                             b.literalNum, sel);
-            return;
-        }
-        if (b_enc && a.kind == ExprKind::Const) {
-            b.colv->encodedData()->filterCmp(encCmpOf(swapCmp(n.cmp)),
-                                             a.literalNum, sel);
-            return;
-        }
-        // Encoded columns have no flat data to point at, so they are
-        // not leaves for the direct-access paths below; the general
-        // scratch path gathers (decodes) them instead.
-        const bool a_leaf =
-            (a.kind == ExprKind::ColRef && !a_enc) ||
-            a.kind == ExprKind::Const;
-        const bool b_leaf =
-            (b.kind == ExprKind::ColRef && !b_enc) ||
-            b.kind == ExprKind::Const;
-        if (a_leaf && b_leaf) {
+        if (isLeaf(a) && isLeaf(b)) {
             // Leaf-vs-leaf: no scratch buffers, one typed pass.
             if (a.kind == ExprKind::ColRef && b.kind == ExprKind::Const) {
                 const double c = b.literalNum;
@@ -690,13 +652,6 @@ filterNode(const Pool &pool, int32_t ni, std::vector<uint32_t> &sel)
       }
       case ExprKind::InList: {
         const auto &set = n.inCodesValid ? n.inCodes : n.inInts;
-        if (const EncodedColumn *enc = n.colv->encodedData()) {
-            keepIf(sel, [&set, enc](size_t, uint32_t r) {
-                return std::find(set.begin(), set.end(),
-                                 enc->intAt(r)) != set.end();
-            });
-            return;
-        }
         const int64_t *data = n.colv->ints().data();
         keepIf(sel, [&set, data](size_t, uint32_t r) {
             return std::find(set.begin(), set.end(), data[r]) !=
@@ -715,17 +670,7 @@ filterNode(const Pool &pool, int32_t ni, std::vector<uint32_t> &sel)
     }
 }
 
-/** True for nodes a fused arithmetic loop can read per-row without
- * recursion: literals and flat (non-encoded) column references. */
-inline bool
-fusableLeaf(const Node &nd)
-{
-    return nd.kind == ExprKind::Const ||
-           (nd.kind == ExprKind::ColRef &&
-            nd.colv->encodedData() == nullptr);
-}
-
-/** Invoke fn with a (row)->double getter for a fusable leaf. */
+/** Invoke fn with a (row)->double getter for a leaf (isLeaf). */
 template <class Fn>
 inline void
 withLeaf(const Node &nd, Fn fn)
@@ -776,10 +721,6 @@ numericNode(const Pool &pool, int32_t ni, const uint32_t *sel, size_t n,
     const Node &nd = pool[size_t(ni)];
     switch (nd.kind) {
       case ExprKind::ColRef:
-        if (const EncodedColumn *enc = nd.colv->encodedData()) {
-            enc->gatherNumeric(sel, n, base, out);
-            return;
-        }
         if (nd.colv->type() == TypeId::Double) {
             const double *d = nd.colv->doubles().data();
             forRows(sel, n, base,
@@ -809,7 +750,7 @@ numericNode(const Pool &pool, int32_t ni, const uint32_t *sel, size_t n,
         // workhorse shapes `a ⊗ b` and `a ⊗ (b ⊗ c)`, e.g.
         // price * (1 - disc)). This is what closed the eval_column
         // per-row-indirection gap.
-        if (fusableLeaf(ka) && fusableLeaf(kb)) {
+        if (isLeaf(ka) && isLeaf(kb)) {
             withLeaf(ka, [&](auto ga) {
                 withLeaf(kb, [&](auto gb) {
                     withArith(nd.arith, ga, gb, emitOut);
@@ -817,9 +758,9 @@ numericNode(const Pool &pool, int32_t ni, const uint32_t *sel, size_t n,
             });
             return;
         }
-        if (fusableLeaf(ka) && kb.kind == ExprKind::Arith &&
-            fusableLeaf(pool[size_t(kb.kid0)]) &&
-            fusableLeaf(pool[size_t(kb.kid1)])) {
+        if (isLeaf(ka) && kb.kind == ExprKind::Arith &&
+            isLeaf(pool[size_t(kb.kid0)]) &&
+            isLeaf(pool[size_t(kb.kid1)])) {
             withLeaf(ka, [&](auto ga) {
                 withLeaf(pool[size_t(kb.kid0)], [&](auto gb0) {
                     withLeaf(pool[size_t(kb.kid1)], [&](auto gb1) {
@@ -831,9 +772,9 @@ numericNode(const Pool &pool, int32_t ni, const uint32_t *sel, size_t n,
             });
             return;
         }
-        if (fusableLeaf(kb) && ka.kind == ExprKind::Arith &&
-            fusableLeaf(pool[size_t(ka.kid0)]) &&
-            fusableLeaf(pool[size_t(ka.kid1)])) {
+        if (isLeaf(kb) && ka.kind == ExprKind::Arith &&
+            isLeaf(pool[size_t(ka.kid0)]) &&
+            isLeaf(pool[size_t(ka.kid1)])) {
             withLeaf(kb, [&](auto gb) {
                 withLeaf(pool[size_t(ka.kid0)], [&](auto ga0) {
                     withLeaf(pool[size_t(ka.kid1)], [&](auto ga1) {

@@ -140,13 +140,6 @@ CoreScheduler::tenantMask(int tenant) const
                                                : 0;
 }
 
-double
-CoreScheduler::tenantBusyNs(int tenant) const
-{
-    return tenant >= 0 && tenant < kMaxTenants ? tenantBusyNs_[tenant]
-                                               : 0;
-}
-
 int
 CoreScheduler::pickFreeCoreFor(int tenant) const
 {

@@ -98,14 +98,6 @@ SketchHub::noteLatency(int tenant, double ms)
         lat_[tenant].update(ms);
 }
 
-double
-SketchHub::latencyQuantile(int tenant, double q) const
-{
-    return (tenant >= 0 && tenant < kTenants)
-               ? lat_[tenant].quantile(q)
-               : 0.0;
-}
-
 uint64_t
 SketchHub::latencyCount(int tenant) const
 {

@@ -141,7 +141,6 @@ class SketchHub
     // ----- (c) per-tenant resource-usage quantiles -----
 
     void noteLatency(int tenant, double ms);
-    double latencyQuantile(int tenant, double q) const;
     uint64_t latencyCount(int tenant) const;
     const KllSketch &latencySketch(int tenant) const
     {

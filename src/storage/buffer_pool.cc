@@ -82,22 +82,6 @@ BufferPool::verifyObject(PageId id) const
     return o.checksum == pageChecksum(id, o.bytes, o.version);
 }
 
-void
-BufferPool::resizeObject(PageId id, uint64_t bytes)
-{
-    Object &o = obj(id);
-    if (o.resident) {
-        used_ += bytes;
-        used_ -= o.bytes;
-        if (o.dirty) {
-            dirtyBytes_ += bytes;
-            dirtyBytes_ -= o.bytes;
-        }
-    }
-    o.bytes = bytes;
-    o.checksum = pageChecksum(id, bytes, o.version);
-}
-
 BufferPool::Object &
 BufferPool::obj(PageId id)
 {

@@ -76,9 +76,6 @@ class BufferPool
     /** Declare a storage object (page or segment). Starts on disk. */
     void registerObject(PageId id, uint64_t bytes);
 
-    /** Change an object's size (e.g. a growing delta segment). */
-    void resizeObject(PageId id, uint64_t bytes);
-
     /** True if the object is currently resident. */
     bool isResident(PageId id) const;
 

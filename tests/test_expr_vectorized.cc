@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -43,18 +44,21 @@ makeData(Rng &rng, size_t rows)
         td.dict.codeOf(s);
     td.chunk.addColumn(ColumnVector::ints("i1"));
     td.chunk.addColumn(ColumnVector::ints("i2"));
+    td.chunk.addColumn(ColumnVector::ints("i3"));
     td.chunk.addColumn(ColumnVector::doubles("d1"));
     td.chunk.addColumn(ColumnVector::doubles("d2"));
     td.chunk.addColumn(ColumnVector::strings("s1", &td.dict));
     td.chunk.setRows(rows);
     auto &i1 = td.chunk.byName("i1").ints();
     auto &i2 = td.chunk.byName("i2").ints();
+    auto &i3 = td.chunk.byName("i3").ints();
     auto &d1 = td.chunk.byName("d1").doubles();
     auto &d2 = td.chunk.byName("d2").doubles();
     auto &s1 = td.chunk.byName("s1").ints();
     for (size_t r = 0; r < rows; ++r) {
         i1.push_back(int64_t(rng.range(-50, 50)));
         i2.push_back(int64_t(rng.range(0, 20000)));
+        i3.push_back(int64_t(rng())); // full int64 range
         d1.push_back(rng.uniformReal() * 2.0 - 1.0);
         d2.push_back(double(rng.range(0, 1000)) / 8.0);
         s1.push_back(int64_t(rng.uniform(uint32_t(kDictValues.size()))));
@@ -65,19 +69,34 @@ makeData(Rng &rng, size_t rows)
 
 ExprPtr genBool(Rng &rng, int depth);
 
+/** Literals where int64 -> double rounds or IEEE semantics (NaN
+ *  compares unordered, inf arithmetic) must match the oracle. */
+ExprPtr
+edgeLiteral(Rng &rng)
+{
+    switch (rng.uniform(4)) {
+      case 0: return lit(Value(std::numeric_limits<double>::quiet_NaN()));
+      case 1: return lit(Value(std::numeric_limits<double>::infinity()));
+      case 2: return lit(Value(-std::numeric_limits<double>::infinity()));
+      default: return lit(Value((int64_t(1) << 53) + 1)); // rounds
+    }
+}
+
 /** Random numeric expression (columns, literals, params, arithmetic,
  *  CASE WHEN, YEAR, SUBSTRING-as-int). */
 ExprPtr
 genNum(Rng &rng, int depth)
 {
     if (depth <= 0) {
-        switch (rng.uniform(7)) {
+        switch (rng.uniform(9)) {
           case 0: return col("i1");
           case 1: return col("i2");
-          case 2: return col("d1");
-          case 3: return col("d2");
-          case 4: return lit(Value(int64_t(rng.range(-20, 20))));
-          case 5: return lit(Value(rng.uniformReal() * 4.0 - 2.0));
+          case 2: return col("i3");
+          case 3: return col("d1");
+          case 4: return col("d2");
+          case 5: return lit(Value(int64_t(rng.range(-20, 20))));
+          case 6: return lit(Value(rng.uniformReal() * 4.0 - 2.0));
+          case 7: return edgeLiteral(rng);
           default: return rng.uniform(2) ? param("p1") : param("p2");
         }
     }

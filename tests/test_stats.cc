@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the hierarchical stats registry (core/stats.h) and
- * the JSON document model it serializes into (core/json.h).
+ * Unit tests for the hierarchical stats registry (core/stats.h), the
+ * JSON document model (core/json.h) and histogram quantiles.
  */
 
 #include <gtest/gtest.h>
@@ -141,86 +141,11 @@ TEST(StatsRegistry, GaugeReadsLiveState)
     EXPECT_EQ(reg.names().size(), 1u);
 }
 
-TEST(StatsRegistry, HierarchyQueries)
-{
-    StatsRegistry reg;
-    reg.counter("sched.core0.busy_ns");
-    reg.counter("sched.core1.busy_ns");
-    reg.counter("sched.busy_cores");
-    reg.counter("sched_other.x"); // must NOT match prefix "sched"
-    reg.counter("ssd.read_bytes");
-
-    const auto under = reg.namesUnder("sched");
-    ASSERT_EQ(under.size(), 3u);
-    EXPECT_EQ(under[0], "sched.busy_cores");
-    EXPECT_EQ(under[1], "sched.core0.busy_ns");
-    EXPECT_EQ(under[2], "sched.core1.busy_ns");
-
-    const auto kids = reg.childrenOf("sched");
-    ASSERT_EQ(kids.size(), 3u);
-    EXPECT_EQ(kids[0], "busy_cores");
-    EXPECT_EQ(kids[1], "core0");
-    EXPECT_EQ(kids[2], "core1");
-
-    // Empty prefix matches everything.
-    EXPECT_EQ(reg.namesUnder("").size(), reg.names().size());
-}
-
-TEST(StatsRegistry, HistogramPercentiles)
-{
-    StatsRegistry reg;
-    StatHistogram &h = reg.histogram("latency_ns");
-    for (int i = 1; i <= 100; ++i)
-        h.add(double(i));
-    EXPECT_EQ(h.count(), 100u);
-    EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-    EXPECT_GE(h.percentile(0.5), 49.0);
-    EXPECT_LE(h.percentile(0.5), 52.0);
-    EXPECT_GE(h.percentile(0.99), 98.0);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 100.0);
-}
-
-TEST(StatsRegistry, ResetZerosOwnedStatsNotGauges)
-{
-    StatsRegistry reg;
-    reg.counter("c").add(10);
-    reg.histogram("h").add(3.0);
-    double backing = 5.0;
-    reg.gauge("g", [&backing] { return backing; });
-
-    reg.reset();
-    EXPECT_DOUBLE_EQ(reg.value("c"), 0.0);
-    EXPECT_EQ(reg.histogramAt("h").count(), 0u);
-    EXPECT_DOUBLE_EQ(reg.value("g"), 5.0); // gauges read live state
-}
-
 TEST(StatsRegistry, UnknownNamePanicsListingRegistered)
 {
     StatsRegistry reg;
     reg.counter("known.one");
     EXPECT_DEATH((void)reg.value("missing.stat"), "known.one");
-}
-
-TEST(StatsRegistry, ToJsonFollowsDottedHierarchy)
-{
-    StatsRegistry reg;
-    reg.counter("ssd.read_bytes").add(128);
-    reg.counter("ssd.write_bytes").add(64);
-    reg.counter("run.txns").add(3);
-    reg.histogram("waits.lock_ns").add(10.0);
-
-    const Json j = reg.toJson();
-    ASSERT_TRUE(j.contains("ssd"));
-    EXPECT_DOUBLE_EQ(j.at("ssd").at("read_bytes").asDouble(), 128.0);
-    EXPECT_DOUBLE_EQ(j.at("ssd").at("write_bytes").asDouble(), 64.0);
-    EXPECT_DOUBLE_EQ(j.at("run").at("txns").asDouble(), 3.0);
-    const Json &h = j.at("waits").at("lock_ns");
-    EXPECT_EQ(h.at("count").asInt(), 1);
-    EXPECT_DOUBLE_EQ(h.at("mean").asDouble(), 10.0);
-    // The dump must be parseable JSON.
-    std::string err;
-    Json::parse(j.dump(2), &err);
-    EXPECT_TRUE(err.empty()) << err;
 }
 
 // ------------------------------------------- Histogram merge/quantile

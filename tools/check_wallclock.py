@@ -39,7 +39,6 @@ def in_run_ratios(doc):
     # Kernels without a dedicated reference: normalize by the scalar
     # filter, the most stable in-binary yardstick.
     put("eval_column", ref, cur["eval_column_ms"])
-    put("filter_compressed", ref, cur.get("filter_compressed_ms", 0))
     return ratios
 
 
