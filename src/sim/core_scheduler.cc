@@ -12,11 +12,43 @@ namespace {
  * paper: fill socket 0 physical cores, then socket 1 physical cores,
  * then the second SMT threads of all physical cores.
  */
-int
+constexpr int
 socketOfIndex(int core)
 {
     const int per_socket = calib::kPhysCoresPerSocket; // 8
     return (core % (2 * per_socket)) / per_socket;
+}
+
+constexpr int kPhysTotal = calib::kSockets * calib::kPhysCoresPerSocket;
+
+/** Bit c for every logical core c. */
+constexpr uint64_t kAllCores = (uint64_t(1) << calib::kLogicalCores) - 1;
+
+/** Logical cores of one socket, as a mask. */
+constexpr uint64_t
+socketMask(int socket)
+{
+    uint64_t m = 0;
+    for (int c = 0; c < calib::kLogicalCores; ++c)
+        if (socketOfIndex(c) == socket)
+            m |= uint64_t(1) << c;
+    return m;
+}
+
+constexpr uint64_t kSocketMask[2] = {socketMask(0), socketMask(1)};
+
+/** Bit c set when core c's SMT sibling is set in `cores`. */
+constexpr uint64_t
+siblingsOf(uint64_t cores)
+{
+    return (cores >> kPhysTotal | cores << kPhysTotal) & kAllCores;
+}
+
+/** Lowest set bit's index, or -1 for an empty mask. */
+int
+lowestCore(uint64_t mask)
+{
+    return mask ? __builtin_ctzll(mask) : -1;
 }
 
 } // namespace
@@ -35,8 +67,7 @@ class CoreAcquire
     {
         const int core = sched.pickFreeCoreFor(waiter.tenant);
         if (core >= 0) {
-            sched.cores_[core].busy = true;
-            ++sched.busyCount_;
+            sched.occupy(core);
             waiter.grantedCore = core;
             return true;
         }
@@ -47,7 +78,7 @@ class CoreAcquire
     await_suspend(std::coroutine_handle<> h)
     {
         waiter.handle = h;
-        sched.waiters_.push_back(&waiter);
+        sched.enqueue(&waiter);
     }
 
     int await_resume() const { return waiter.grantedCore; }
@@ -88,25 +119,23 @@ CoreScheduler::physicalOf(int core)
 int
 CoreScheduler::siblingOf(int core)
 {
-    const int phys_total = calib::kSockets * calib::kPhysCoresPerSocket;
-    return core < phys_total ? core + phys_total : core - phys_total;
+    return core < kPhysTotal ? core + kPhysTotal : core - kPhysTotal;
+}
+
+uint64_t
+CoreScheduler::freeAllowed() const
+{
+    return ((uint64_t(1) << allowed_) - 1) & ~busyMask_;
 }
 
 int
 CoreScheduler::pickFreeCore() const
 {
-    int fallback = -1;
-    for (int c = 0; c < allowed_; ++c) {
-        if (cores_[c].busy)
-            continue;
-        const int sib = siblingOf(c);
-        const bool sib_busy = sib < int(cores_.size()) && cores_[sib].busy;
-        if (!sib_busy)
-            return c; // prefer an idle physical core
-        if (fallback < 0)
-            fallback = c;
-    }
-    return fallback;
+    // The lowest free allowed core whose sibling idles (an idle
+    // physical core), else the lowest free allowed core.
+    const uint64_t free = freeAllowed();
+    const uint64_t idle = free & ~siblingsOf(busyMask_);
+    return lowestCore(idle ? idle : free);
 }
 
 void
@@ -146,48 +175,37 @@ CoreScheduler::pickFreeCoreFor(int tenant) const
     if (tenant < 0 || tenant >= kMaxTenants ||
         tenantMask_[tenant] == 0)
         return pickFreeCore();
-    const uint64_t mask = tenantMask_[tenant];
+    const uint64_t mask = tenantMask_[tenant] & kAllCores;
 
     // Hardware-islands placement ("OLTP on Hardware Islands"): keep
     // the tenant on the socket it already occupies, filling that
     // socket's physical cores, then its SMT threads, before crossing
     // sockets. Preferred socket = most busy leased cores there, then
     // most leased cores, then socket 0.
-    int busy[2] = {0, 0};
-    int leased[2] = {0, 0};
-    for (int c = 0; c < int(cores_.size()); ++c) {
-        if (!(mask >> c & 1))
-            continue;
-        ++leased[socketOf(c)];
-        if (cores_[c].busy)
-            ++busy[socketOf(c)];
-    }
+    const uint64_t busy = mask & busyMask_;
+    const int busy0 = __builtin_popcountll(busy & kSocketMask[0]);
+    const int busy1 = __builtin_popcountll(busy & kSocketMask[1]);
+    const int leased0 = __builtin_popcountll(mask & kSocketMask[0]);
+    const int leased1 = __builtin_popcountll(mask & kSocketMask[1]);
     int pref = 0;
-    if (busy[0] != busy[1])
-        pref = busy[0] > busy[1] ? 0 : 1;
-    else if (leased[0] != leased[1])
-        pref = leased[0] > leased[1] ? 0 : 1;
+    if (busy0 != busy1)
+        pref = busy0 > busy1 ? 0 : 1;
+    else if (leased0 != leased1)
+        pref = leased0 > leased1 ? 0 : 1;
 
-    int best = -1;
-    int best_rank = 4;
-    for (int c = 0; c < allowed_; ++c) {
-        if (!(mask >> c & 1) || cores_[c].busy)
-            continue;
-        const int sib = siblingOf(c);
-        const bool sib_busy =
-            sib < int(cores_.size()) && cores_[sib].busy;
-        // 0: preferred socket, idle sibling   (physical core)
-        // 1: preferred socket, busy sibling   (SMT thread)
-        // 2: other socket, idle sibling       (cross-socket)
-        // 3: other socket, busy sibling
-        const int rank =
-            (socketOf(c) == pref ? 0 : 2) + (sib_busy ? 1 : 0);
-        if (rank < best_rank) {
-            best_rank = rank;
-            best = c;
-        }
-    }
-    return best;
+    // The lowest free leased core of the best rank:
+    // 0: preferred socket, idle sibling   (physical core)
+    // 1: preferred socket, busy sibling   (SMT thread)
+    // 2: other socket, idle sibling       (cross-socket)
+    // 3: other socket, busy sibling
+    const uint64_t free = mask & freeAllowed();
+    const uint64_t sib_busy = siblingsOf(busyMask_);
+    const uint64_t home = free & kSocketMask[pref];
+    const uint64_t away = free & ~kSocketMask[pref];
+    for (const uint64_t set : {home & ~sib_busy, home, away & ~sib_busy})
+        if (set)
+            return lowestCore(set);
+    return lowestCore(away);
 }
 
 double
@@ -196,7 +214,7 @@ CoreScheduler::burstDurationNs(int core, const CpuWork &work,
 {
     double dur = work.totalNs();
     const int sib = siblingOf(core);
-    if (sib < int(cores_.size()) && cores_[sib].busy) {
+    if (coreBusy(sib)) {
         const double avg_stall =
             0.5 * (work.stallFraction() + cores_[sib].stallFraction);
         const double combined = calib::smtCombinedThroughput(avg_stall);
@@ -247,8 +265,7 @@ CoreScheduler::consume(CpuWork work)
 void
 CoreScheduler::releaseCore(int core)
 {
-    cores_[core].busy = false;
-    --busyCount_;
+    busyMask_ &= ~(uint64_t(1) << core);
     pumpWaiters();
 }
 
@@ -261,19 +278,23 @@ CoreScheduler::pumpWaiters()
     // historical one-grant-per-release path. With leases a waiter
     // whose lease is fully busy must not block later waiters whose
     // lease has room, so the scan continues past it.
-    for (auto it = waiters_.begin(); it != waiters_.end();) {
-        Waiter *w = *it;
+    // With no free allowed core nobody fits, lease or not.
+    Waiter **link = &waitHead_;
+    while (*link && freeAllowed()) {
+        Waiter *w = *link;
         const int core = pickFreeCoreFor(w->tenant);
         if (core < 0) {
             if (!haveLeases_)
                 return; // shared pool exhausted: nobody later fits
-            ++it;
+            link = &w->next;
             continue;
         }
-        cores_[core].busy = true;
-        ++busyCount_;
+        occupy(core);
         w->grantedCore = core;
-        it = waiters_.erase(it);
+        *link = w->next;
+        if (waitTail_ == &w->next)
+            waitTail_ = link;
+        --waitCount_;
         loop_.post(w->handle);
     }
 }

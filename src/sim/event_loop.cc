@@ -1,37 +1,63 @@
 #include "sim/event_loop.h"
 
+#include <utility>
+
 #include "core/logging.h"
 
 namespace dbsens {
 
 namespace detail {
 
-void
-TaskPromiseBase::notifyRootDone(std::coroutine_handle<> h) noexcept
+bool
+TaskPromiseBase::finishDetached() noexcept
 {
-    if (ownerLoop)
-        ownerLoop->rootTaskDone(h);
+    if (continuation || !ownerLoop)
+        return false;
+    ownerLoop->rootTaskDone();
+    return true;
 }
 
 } // namespace detail
 
-EventLoop::~EventLoop()
+void
+EventLoop::push(SimTime t, uintptr_t payload)
 {
-    reclaimFinished();
-    // Any still-pending root tasks leak their frames intentionally:
-    // destroying a suspended-but-not-finished coroutine from here is
-    // safe, but events in the queue may hold handles into them, so we
-    // simply drop the queue first.
-    while (!queue_.empty())
-        queue_.pop();
+    if (t == now_) {
+        // Every heap event at now_ was pushed before the clock got
+        // here and so has a smaller seq: the lane keeps (time, seq)
+        // order without a sequence number of its own.
+        lane_.push_back(Event{t, 0, payload, currentDomain_});
+        return;
+    }
+    if (t < now_)
+        panic("EventLoop scheduling into the past");
+    // Sift a hole up from the new leaf, then fill it.
+    const Event ev{t, seq_++, payload, currentDomain_};
+    size_t i = heap_.size();
+    heap_.emplace_back();
+    while (i > 0) {
+        const size_t parent = (i - 1) / 4;
+        if (!before(ev, heap_[parent]))
+            break;
+        heap_[i] = heap_[parent];
+        i = parent;
+    }
+    heap_[i] = ev;
 }
 
 void
 EventLoop::at(SimTime t, std::function<void()> fn)
 {
-    if (t < now_)
-        panic("EventLoop::at scheduling into the past");
-    queue_.push(Event{t, seq_++, currentDomain_, std::move(fn)});
+    uint32_t slot;
+    if (!freeSlots_.empty()) {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        slab_[slot] = std::move(fn);
+    } else {
+        slot = uint32_t(slab_.size());
+        slab_.push_back(std::move(fn));
+    }
+    push(t, uintptr_t(slot) << 1 | 1);
 }
 
 void
@@ -39,22 +65,9 @@ EventLoop::killDomain(DomainId d)
 {
     if (d == 0)
         panic("EventLoop::killDomain on the root domain");
-    deadDomains_.insert(d);
-}
-
-void
-EventLoop::post(std::coroutine_handle<> h)
-{
-    postAt(now_, h);
-}
-
-void
-EventLoop::postAt(SimTime t, std::coroutine_handle<> h)
-{
-    at(t, [this, h] {
-        h.resume();
-        reclaimFinished();
-    });
+    if (d >= dead_.size())
+        dead_.resize(size_t(d) + 1, 0);
+    dead_[d] = 1;
 }
 
 void
@@ -65,41 +78,96 @@ EventLoop::spawn(Task<void> task)
         panic("EventLoop::spawn on empty task");
     h.promise().ownerLoop = this;
     ++activeTasks_;
-    postAt(now_, h);
+    post(h);
+}
+
+EventLoop::Event
+EventLoop::heapPop()
+{
+    const Event top = heap_.front();
+    const Event last = heap_.back();
+    heap_.pop_back();
+    const size_t n = heap_.size();
+    if (n == 0)
+        return top;
+    // Sift the hole at the root down to where `last` belongs.
+    size_t i = 0;
+    for (;;) {
+        const size_t first = 4 * i + 1;
+        if (first >= n)
+            break;
+        const size_t end = first + 4 < n ? first + 4 : n;
+        size_t min = first;
+        for (size_t c = first + 1; c < end; ++c)
+            if (before(heap_[c], heap_[min]))
+                min = c;
+        if (!before(heap_[min], last))
+            break;
+        heap_[i] = heap_[min];
+        i = min;
+    }
+    heap_[i] = last;
+    return top;
+}
+
+bool
+EventLoop::nextAtOrBefore(SimTime t) const
+{
+    if (laneHead_ < lane_.size())
+        return now_ <= t;
+    return !heap_.empty() && heap_.front().time <= t;
+}
+
+EventLoop::Event
+EventLoop::popNext()
+{
+    // Heap events at now_ precede the lane (smaller seq); the lane
+    // precedes every later heap event.
+    if (laneHead_ < lane_.size() &&
+        (heap_.empty() || heap_.front().time != now_)) {
+        const Event ev = lane_[laneHead_++];
+        if (laneHead_ == lane_.size()) {
+            lane_.clear();
+            laneHead_ = 0;
+        }
+        return ev;
+    }
+    return heapPop();
+}
+
+std::function<void()>
+EventLoop::takeCallback(uintptr_t payload)
+{
+    // Moved out before it runs: a callback may schedule callbacks
+    // that reuse its slot or grow the slab.
+    const uint32_t slot = uint32_t(payload >> 1);
+    std::function<void()> fn = std::move(slab_[slot]);
+    slab_[slot] = nullptr;
+    freeSlots_.push_back(slot);
+    return fn;
 }
 
 void
-EventLoop::rootTaskDone(std::coroutine_handle<> h)
+EventLoop::dispatch(const Event &ev)
 {
-    --activeTasks_;
-    // The coroutine is suspended at final_suspend; defer destruction
-    // to after the resume() call that got us here returns.
-    finished_.push_back(h);
-}
-
-void
-EventLoop::reclaimFinished()
-{
-    for (auto h : finished_)
-        h.destroy();
-    finished_.clear();
-}
-
-void
-EventLoop::dispatchOne()
-{
-    Event ev = std::move(const_cast<Event &>(queue_.top()));
-    queue_.pop();
+    const bool callback = ev.payload & 1;
     if (!domainAlive(ev.domain)) {
         // The event belongs to a killed incarnation: drop it without
-        // resuming (the frame it holds leaks, as in ~EventLoop).
+        // resuming (the frame it holds leaks, as at teardown).
+        if (callback)
+            takeCallback(ev.payload);
         return;
     }
     now_ = ev.time;
     ++dispatched_;
     const DomainId prev = currentDomain_;
     currentDomain_ = ev.domain;
-    ev.fn();
+    if (callback)
+        takeCallback(ev.payload)();
+    else
+        std::coroutine_handle<>::from_address(
+            reinterpret_cast<void *>(ev.payload))
+            .resume();
     currentDomain_ = prev;
 }
 
@@ -107,18 +175,16 @@ void
 EventLoop::run()
 {
     stopped_ = false;
-    while (!queue_.empty() && !stopped_)
-        dispatchOne();
-    reclaimFinished();
+    while (!stopped_ && (laneHead_ < lane_.size() || !heap_.empty()))
+        dispatch(popNext());
 }
 
 void
 EventLoop::runUntil(SimTime t)
 {
     stopped_ = false;
-    while (!queue_.empty() && !stopped_ && queue_.top().time <= t)
-        dispatchOne();
-    reclaimFinished();
+    while (!stopped_ && nextAtOrBefore(t))
+        dispatch(popNext());
     if (!stopped_ && now_ < t)
         now_ = t;
 }

@@ -2,10 +2,11 @@
  * @file
  * Discrete-event simulation kernel.
  *
- * A single-threaded priority-queue event loop over simulated
- * nanoseconds. All cross-session resumptions are posted through the
- * queue (never resumed inline), which keeps stack depth bounded and
- * event ordering deterministic (FIFO among same-time events).
+ * A single-threaded event loop over simulated nanoseconds. All
+ * cross-session resumptions are posted through the loop (never resumed
+ * inline), which keeps stack depth bounded and event ordering
+ * deterministic: events dispatch in (time, seq) order, so same-time
+ * events run FIFO.
  */
 
 #ifndef DBSENS_SIM_EVENT_LOOP_H
@@ -14,8 +15,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "core/sim_time.h"
@@ -36,12 +35,16 @@ using DomainId = uint32_t;
 /**
  * The simulation kernel. Owns the event queue, the simulated clock,
  * and the frames of detached (spawned) root tasks.
+ *
+ * Events are 32-byte PODs: a coroutine frame address, or an index
+ * into a slab of callbacks. Future events sit in a 4-ary heap ordered
+ * by (time, seq); events scheduled at the current time go to a FIFO
+ * lane that bypasses the heap (DESIGN.md, "DES kernel").
  */
 class EventLoop
 {
   public:
     EventLoop() = default;
-    ~EventLoop();
 
     EventLoop(const EventLoop &) = delete;
     EventLoop &operator=(const EventLoop &) = delete;
@@ -56,10 +59,14 @@ class EventLoop
     void after(SimDuration d, std::function<void()> fn) { at(now_ + d, std::move(fn)); }
 
     /** Post a coroutine resumption at the current time (FIFO). */
-    void post(std::coroutine_handle<> h);
+    void post(std::coroutine_handle<> h) { postAt(now_, h); }
 
     /** Post a coroutine resumption at an absolute time. */
-    void postAt(SimTime t, std::coroutine_handle<> h);
+    void
+    postAt(SimTime t, std::coroutine_handle<> h)
+    {
+        push(t, reinterpret_cast<uintptr_t>(h.address()));
+    }
 
     /**
      * Detach a root task into the loop: the loop resumes it now and
@@ -110,36 +117,53 @@ class EventLoop
     void killDomain(DomainId d);
 
     /** True unless `d` has been killed. */
-    bool domainAlive(DomainId d) const
+    bool
+    domainAlive(DomainId d) const
     {
-        return deadDomains_.empty() || !deadDomains_.count(d);
+        return d >= dead_.size() || !dead_[d];
     }
 
     // Internal: called from TaskPromiseBase when a detached root task
-    // reaches final suspension.
-    void rootTaskDone(std::coroutine_handle<> h);
+    // completes (its frame is destroyed as it returns).
+    void rootTaskDone() { --activeTasks_; }
 
   private:
+    /**
+     * A scheduled event. `payload` is a coroutine frame address, or
+     * (slab index << 1) | 1 for a callback: frames are at least
+     * 8-byte aligned, so bit 0 tells the two apart.
+     */
     struct Event
     {
         SimTime time;
         uint64_t seq;
+        uintptr_t payload;
         DomainId domain;
-        std::function<void()> fn;
-
-        bool
-        operator>(const Event &o) const
-        {
-            return time != o.time ? time > o.time : seq > o.seq;
-        }
     };
 
-    void dispatchOne();
-    void reclaimFinished();
+    static bool
+    before(const Event &a, const Event &b)
+    {
+        return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+    }
 
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-    std::vector<std::coroutine_handle<>> finished_;
-    std::unordered_set<DomainId> deadDomains_;
+    void push(SimTime t, uintptr_t payload);
+    bool nextAtOrBefore(SimTime t) const;
+    Event popNext();
+    Event heapPop();
+    std::function<void()> takeCallback(uintptr_t payload);
+    void dispatch(const Event &ev);
+
+    /** 4-ary min-heap of events pushed ahead of the clock. */
+    std::vector<Event> heap_;
+    /** FIFO of events pushed at now_, drained from laneHead_. */
+    std::vector<Event> lane_;
+    size_t laneHead_ = 0;
+    /** Callbacks of pending at()/after() events, and free slots. */
+    std::vector<std::function<void()>> slab_;
+    std::vector<uint32_t> freeSlots_;
+    /** Killed flag per domain id (ids past the end are alive). */
+    std::vector<uint8_t> dead_;
     SimTime now_ = 0;
     uint64_t seq_ = 0;
     uint64_t dispatched_ = 0;

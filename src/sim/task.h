@@ -11,6 +11,12 @@
  * `Task<T>` is lazily started. Awaiting a task runs it to completion
  * and yields its value; root tasks are handed to EventLoop::spawn()
  * which owns their lifetime.
+ *
+ * Frames are recycled through a per-thread pool of size classes, as a
+ * simulation spawns and awaits millions of short-lived tasks. Each
+ * thread has its own pool, so no lock is taken; a frame freed on
+ * another thread than the one that allocated it joins that thread's
+ * pool.
  */
 
 #ifndef DBSENS_SIM_TASK_H
@@ -18,7 +24,9 @@
 
 #include <cassert>
 #include <coroutine>
+#include <cstddef>
 #include <exception>
+#include <new>
 #include <utility>
 
 namespace dbsens {
@@ -30,6 +38,74 @@ class EventLoop;
 
 namespace detail {
 
+/**
+ * Free lists of coroutine frames, one per 64-byte size class up to
+ * 2 KB; larger frames go straight to the global heap. One pool per
+ * thread, so no list is ever shared. Under AddressSanitizer frames
+ * are not recycled, so use-after-free on a frame is still caught.
+ */
+class FramePool
+{
+  public:
+    FramePool() = default;
+    FramePool(const FramePool &) = delete;
+    FramePool &operator=(const FramePool &) = delete;
+
+    ~FramePool()
+    {
+        for (Block *&head : free_) {
+            while (head)
+                ::operator delete(std::exchange(head, head->next));
+        }
+    }
+
+    void *
+    alloc(size_t n)
+    {
+        const size_t c = classOf(n);
+        if (c >= kClasses)
+            return ::operator new(n);
+        if (Block *b = free_[c]) {
+            free_[c] = b->next;
+            return b;
+        }
+        return ::operator new(c * kGranule);
+    }
+
+    void
+    release(void *p, size_t n) noexcept
+    {
+        const size_t c = classOf(n);
+        if (c >= kClasses) {
+            ::operator delete(p);
+            return;
+        }
+        Block *b = static_cast<Block *>(p);
+        b->next = free_[c];
+        free_[c] = b;
+    }
+
+  private:
+    struct Block
+    {
+        Block *next;
+    };
+
+#if defined(__SANITIZE_ADDRESS__)
+    // Only class 0 (an empty frame, which never occurs) is pooled.
+    static constexpr size_t kClasses = 1;
+#else
+    static constexpr size_t kClasses = 33;
+#endif
+    static constexpr size_t kGranule = 64;
+
+    static size_t classOf(size_t n) { return (n + kGranule - 1) / kGranule; }
+
+    Block *free_[kClasses] = {};
+};
+
+inline thread_local FramePool tlsFramePool;
+
 class TaskPromiseBase
 {
   public:
@@ -39,34 +115,43 @@ class TaskPromiseBase
     /** Set by EventLoop::spawn for detached root tasks. */
     EventLoop *ownerLoop = nullptr;
 
+    static void *operator new(size_t n) { return tlsFramePool.alloc(n); }
+
+    static void
+    operator delete(void *p, size_t n) noexcept
+    {
+        tlsFramePool.release(p, n);
+    }
+
     std::suspend_always initial_suspend() noexcept { return {}; }
 
     struct FinalAwaiter
     {
-        bool await_ready() noexcept { return false; }
+        TaskPromiseBase &promise;
 
-        template <typename Promise>
+        // A detached root task has nobody to resume: it does not
+        // suspend, so its frame is destroyed as the coroutine returns.
+        bool await_ready() noexcept { return promise.finishDetached(); }
+
         std::coroutine_handle<>
-        await_suspend(std::coroutine_handle<Promise> h) noexcept
+        await_suspend(std::coroutine_handle<>) noexcept
         {
-            auto &p = h.promise();
-            if (p.continuation)
-                return p.continuation;
-            // Detached root task: nobody awaits it; the loop reclaims
-            // the frame (declared in event_loop.h to avoid a cycle).
-            p.notifyRootDone(h);
+            if (promise.continuation)
+                return promise.continuation;
             return std::noop_coroutine();
         }
 
         void await_resume() noexcept {}
     };
 
-    FinalAwaiter final_suspend() noexcept { return {}; }
+    FinalAwaiter final_suspend() noexcept { return {*this}; }
 
     void unhandled_exception() { exception = std::current_exception(); }
 
-  protected:
-    void notifyRootDone(std::coroutine_handle<> h) noexcept;
+  private:
+    /** True (and the loop told) when this is a spawned root task that
+     * just finished; defined in event_loop.cc to avoid a cycle. */
+    bool finishDetached() noexcept;
 };
 
 template <typename T>
