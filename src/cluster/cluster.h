@@ -46,8 +46,6 @@ struct ClusterConfig
     // ----- chaos regime
     /** Expected crashes per node over the arrival window. */
     double crashesPerNode = 0;
-    /** Downtime before a crashed node begins restart recovery. */
-    SimDuration restartDelay = milliseconds(2);
     NetConfig net;
     /** Per-node transient-fault rates (per-I/O draws, derived-seeded
      * per node so fleets scale without cross-talk). */
@@ -55,9 +53,6 @@ struct ClusterConfig
     double ssdStallRate = 0;
 
     // ----- protocol timing
-    SimDuration prepareBackoffBase = microseconds(300);
-    SimDuration prepareBackoffCap = milliseconds(4);
-    int prepareAttempts = 6;
     SimDuration lockTimeout = milliseconds(2);
 
     /**

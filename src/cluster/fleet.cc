@@ -34,6 +34,9 @@ constexpr double kZipfTheta = 0.6;
 constexpr SimDuration kClientDeadline = milliseconds(30);
 constexpr int kClientRetries = 3;
 
+/** Downtime before a crashed node begins restart recovery. */
+constexpr SimDuration kRestartDelay = milliseconds(2);
+
 /** Fold a database's per-table digests into one value: FNV-1a over
  * each name's bytes, then the whole per-table digest word. */
 uint64_t
@@ -254,7 +257,7 @@ Fleet::chaosTask(int node, SimTime crash_at)
     n.crash();
     ++crashesInjected_;
     events_.push_back({node, loop_.now(), "crash"});
-    co_await SimDelay(loop_, cfg_.restartDelay);
+    co_await SimDelay(loop_, kRestartDelay);
     if (!n.up()) {
         events_.push_back({node, loop_.now(), "restart"});
         n.restart();

@@ -13,6 +13,11 @@ namespace {
 
 /** Logical cores per node (fleet nodes are small boxes). */
 constexpr int kCoresPerNode = 8;
+/** Coordinator ExecPrepare re-sends to silent branches: capped
+ * exponential backoff, then a prepare timeout (presumed abort). */
+constexpr SimDuration kPrepareBackoffBase = microseconds(300);
+constexpr SimDuration kPrepareBackoffCap = milliseconds(4);
+constexpr int kPrepareAttempts = 6;
 /** Coordinator decision resends, then the inquiry loop's backoff. */
 constexpr SimDuration kDecisionBackoffBase = microseconds(300);
 constexpr SimDuration kDecisionBackoffCap = milliseconds(4);
@@ -301,7 +306,7 @@ ClusterNode::coordinate(uint64_t gtid)
     // immediately; exhausting the budget is a prepare timeout, which
     // presumed abort makes safe to abort unilaterally.
     bool any_no = false;
-    for (int attempt = 1; attempt <= cfg_.prepareAttempts; ++attempt) {
+    for (int attempt = 1; attempt <= kPrepareAttempts; ++attempt) {
         for (const BranchSpec &br : c.branches) {
             if (c.votes.count(br.node))
                 continue;
@@ -313,10 +318,9 @@ ClusterNode::coordinate(uint64_t gtid)
             net_.send(id_, br.node,
                       [&peer, m] { peer.recvExecPrepare(m); });
         }
-        co_await SimDelay(loop_,
-                          cappedExpDelay(cfg_.prepareBackoffBase,
-                                         cfg_.prepareBackoffCap,
-                                         attempt));
+        co_await SimDelay(loop_, cappedExpDelay(kPrepareBackoffBase,
+                                                kPrepareBackoffCap,
+                                                attempt));
         any_no = false;
         for (const auto &[node, yes] : c.votes)
             if (!yes)

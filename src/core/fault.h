@@ -59,7 +59,6 @@ struct FaultConfig
     // Transient SSD faults (drawn per I/O request).
     double ssdErrorRate = 0; ///< P(request fails and must be retried)
     double ssdStallRate = 0; ///< P(request hiccups for 2 ms)
-    int maxIoRetries = 5;
 
     /** P(a buffer-pool miss returns a torn page, forcing a re-read). */
     double tornPageRate = 0;
@@ -189,8 +188,6 @@ class FaultInjector
     };
 
     explicit FaultInjector(const FaultConfig &cfg);
-
-    const FaultConfig &config() const { return cfg_; }
 
     /** Schedule brownouts, scripted events, degradation, and the
      * crash point. Call once after the run's components are wired. */

@@ -1,9 +1,9 @@
 /**
  * @file
  * Lightweight statistics containers used for measurement output:
- * a streaming summary (mean/min/max), a value-list distribution with
- * exact quantiles and CDFs (the paper reports 1-second bandwidth
- * samples as CDFs), and a fixed-bucket histogram.
+ * a streaming summary (mean/min/max) and a value-list distribution
+ * with exact quantiles and CDFs (the paper reports 1-second bandwidth
+ * samples as CDFs).
  */
 
 #ifndef DBSENS_CORE_HISTOGRAM_H
@@ -125,96 +125,6 @@ class Distribution
 
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
-};
-
-/** Fixed-width bucket histogram over [lo, hi); out-of-range clamps. */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, size_t buckets)
-        : lo_(lo), hi_(hi), counts_(buckets, 0)
-    {
-        assert(hi > lo && buckets > 0);
-    }
-
-    void
-    add(double v)
-    {
-        double clamped = std::clamp(v, lo_, std::nextafter(hi_, lo_));
-        auto idx = size_t((clamped - lo_) / (hi_ - lo_) *
-                          double(counts_.size()));
-        if (idx >= counts_.size())
-            idx = counts_.size() - 1;
-        counts_[idx] += 1;
-        total_ += 1;
-    }
-
-    uint64_t bucketCount(size_t i) const { return counts_.at(i); }
-    size_t buckets() const { return counts_.size(); }
-    uint64_t total() const { return total_; }
-    double lo() const { return lo_; }
-    double hi() const { return hi_; }
-
-    double
-    bucketLow(size_t i) const
-    {
-        return lo_ + (hi_ - lo_) * double(i) / double(counts_.size());
-    }
-
-    /** Fold another histogram in; layouts must be identical. */
-    void
-    merge(const Histogram &other)
-    {
-        assert(other.lo_ == lo_ && other.hi_ == hi_ &&
-               other.counts_.size() == counts_.size());
-        for (size_t i = 0; i < counts_.size(); ++i)
-            counts_[i] += other.counts_[i];
-        total_ += other.total_;
-    }
-
-    /**
-     * Quantile in [0, 1] with linear interpolation inside the
-     * selected bucket: the q-th sample rank is located by a
-     * cumulative walk, and the bucket's span is apportioned by the
-     * rank's position within the bucket's count. Empty histograms
-     * report 0. With a single occupied bucket (or q landing in the
-     * clamp bucket at the top) the result stays inside that
-     * bucket's bounds rather than extrapolating.
-     */
-    double
-    quantile(double q) const
-    {
-        assert(q >= 0.0 && q <= 1.0);
-        if (total_ == 0)
-            return 0.0;
-        // Rank in [0, total-1], matching Distribution::quantile's
-        // sample indexing.
-        const double rank = q * double(total_ - 1);
-        uint64_t cum = 0;
-        for (size_t i = 0; i < counts_.size(); ++i) {
-            if (counts_[i] == 0)
-                continue;
-            if (double(cum + counts_[i]) > rank) {
-                const double within =
-                    (rank - double(cum)) / double(counts_[i]);
-                const double w =
-                    (hi_ - lo_) / double(counts_.size());
-                return bucketLow(i) + within * w;
-            }
-            cum += counts_[i];
-        }
-        // q == 1 with the last occupied bucket exactly consumed.
-        for (size_t i = counts_.size(); i-- > 0;)
-            if (counts_[i])
-                return bucketLow(i) +
-                       (hi_ - lo_) / double(counts_.size());
-        return 0.0;
-    }
-
-  private:
-    double lo_, hi_;
-    std::vector<uint64_t> counts_;
-    uint64_t total_ = 0;
 };
 
 } // namespace dbsens

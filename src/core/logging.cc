@@ -1,7 +1,5 @@
 #include "core/logging.h"
 
-#include "core/stats.h"
-
 namespace dbsens {
 
 namespace {
@@ -31,7 +29,6 @@ fatal(const std::string &msg)
 void
 warn(const std::string &msg)
 {
-    globalStats().counter("log.warn_count").inc();
     logLine("warn", msg);
 }
 

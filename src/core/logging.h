@@ -21,8 +21,7 @@ namespace dbsens {
 /** Report an unrecoverable user/configuration error and exit(1). */
 [[noreturn]] void fatal(const std::string &msg);
 
-/** Report a suspicious-but-survivable condition (counted in
- * globalStats() as `log.warn_count`). */
+/** Report a suspicious-but-survivable condition. */
 void warn(const std::string &msg);
 
 } // namespace dbsens

@@ -4,41 +4,18 @@
 
 namespace dbsens {
 
-StatCounter &
-StatsRegistry::counter(const std::string &name, const std::string &desc)
-{
-    auto it = stats_.find(name);
-    if (it != stats_.end()) {
-        if (it->second.kind != Kind::Counter)
-            panic("stat '" + name + "' already registered as non-counter");
-        return *it->second.counter;
-    }
-    Stat s;
-    s.kind = Kind::Counter;
-    s.desc = desc;
-    s.counter = std::make_unique<StatCounter>();
-    auto [pos, _] = stats_.emplace(name, std::move(s));
-    return *pos->second.counter;
-}
-
 void
 StatsRegistry::gauge(const std::string &name, std::function<double()> fn,
                      const std::string &desc)
 {
     auto it = stats_.find(name);
     if (it != stats_.end()) {
-        if (it->second.kind != Kind::Gauge)
-            panic("stat '" + name + "' already registered as non-gauge");
         it->second.gaugeFn = std::move(fn);
         if (!desc.empty())
             it->second.desc = desc;
         return;
     }
-    Stat s;
-    s.kind = Kind::Gauge;
-    s.desc = desc;
-    s.gaugeFn = std::move(fn);
-    stats_.emplace(name, std::move(s));
+    stats_.emplace(name, Stat{desc, std::move(fn)});
 }
 
 bool
@@ -65,8 +42,7 @@ StatsRegistry::value(const std::string &name) const
     auto it = stats_.find(name);
     if (it == stats_.end())
         unknownStat(name);
-    return it->second.kind == Kind::Counter ? it->second.counter->value()
-                                            : it->second.gaugeFn();
+    return it->second.gaugeFn();
 }
 
 std::vector<std::string>
@@ -77,13 +53,6 @@ StatsRegistry::names() const
     for (const auto &[n, _] : stats_)
         out.push_back(n);
     return out;
-}
-
-StatsRegistry &
-globalStats()
-{
-    static StatsRegistry reg;
-    return reg;
 }
 
 } // namespace dbsens

@@ -165,15 +165,6 @@ SimRun::SimRun(Database &db, const RunConfig &cfg, EventLoop *ext)
     stats.gauge("run.txns_given_up",
                 [this] { return double(txnsGivenUp); },
                 "victims dropped after the retry budget");
-    stats.gauge("run.queries_shed",
-                [this] { return double(queriesShed); },
-                "queries shed at the grant gate");
-    stats.gauge("run.queries_shed_timeout",
-                [this] { return double(queriesShedTimeout); },
-                "queries shed by the grant-queue timeout");
-    stats.gauge("run.queries_shed_admission",
-                [this] { return double(queriesShedAdmission); },
-                "queries shed by resilience admission control");
     stats.gauge("run.queries_completed",
                 [this] { return double(queriesCompleted); },
                 "completed analytical queries");
@@ -258,11 +249,9 @@ SimRun::SimRun(Database &db, const RunConfig &cfg, EventLoop *ext)
                      " maxdop=" + std::to_string(cfg.maxdop));
 
     if (cfg.tune.enabled) {
-        TuneConfig tc = cfg.tune;
-        if (tc.startDelay <= 0)
-            tc.startDelay = cfg.warmup;
-        autopilot =
-            std::make_unique<Autopilot>(loop, tc, resourceTotals(cfg));
+        // Tuning starts when measurement does, in steady state.
+        autopilot = std::make_unique<Autopilot>(
+            loop, cfg.tune, resourceTotals(cfg), cfg.warmup);
         Autopilot::Actuators act;
         act.setCoreLease = [this](int t, uint64_t mask) {
             cpu.setTenantMask(t, mask);
@@ -286,11 +275,10 @@ SimRun::SimRun(Database &db, const RunConfig &cfg, EventLoop *ext)
     }
 
     if (cfg.resil.enabled) {
-        resil::ResilConfig rc = cfg.resil;
-        if (rc.tick <= 0)
-            rc.tick = cfg.obs.enabled ? cfg.obs.sampleEvery
-                                      : milliseconds(2);
-        resil = std::make_unique<resil::ResilController>(loop, rc);
+        // One tick per obs sample, so SLO verdicts are one tick fresh.
+        const SimDuration tick =
+            cfg.obs.enabled ? cfg.obs.sampleEvery : milliseconds(2);
+        resil = std::make_unique<resil::ResilController>(loop, tick);
         resil::ResilController::Hooks hooks;
         hooks.stats = &stats;
         if (obs)
@@ -367,9 +355,6 @@ SimRun::startSampling(double byte_scale)
     sampler.addStat(stats, "ssd.write_bytes", byte_scale,
                     "ssd_write_Bps");
     sampler.addStat(stats, "dram.total_bytes", byte_scale, "dram_Bps");
-    sampler.addStat(stats, "run.txns_committed", 1.0, "txns_per_s");
-    sampler.addStat(stats, "run.queries_completed", 1.0,
-                    "queries_per_s");
     sampler.start();
     if (obs) {
         // Measurement window opens here (the harness calls this right

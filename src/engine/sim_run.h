@@ -227,12 +227,6 @@ class SimRun
     uint64_t txnsRetried = 0;
     /** Victims abandoned after the retry budget ran out. */
     uint64_t txnsGivenUp = 0;
-    /** Analytical queries shed (timeout + admission). */
-    uint64_t queriesShed = 0;
-    /** ... by the grant-queue timeout (fault.grantTimeout). */
-    uint64_t queriesShedTimeout = 0;
-    /** ... by resilience token-bucket admission, ahead of the gate. */
-    uint64_t queriesShedAdmission = 0;
     /**
      * Nominal (spill- and stall-free) instruction-ns completed by
      * OLAP-tagged replay morsels. The autopilot's tenant-1 progress

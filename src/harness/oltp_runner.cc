@@ -83,9 +83,9 @@ runOltpOn(OltpWorkload &workload, Database &db, RunConfig cfg)
             sampled_misses += double(run.feed.misses() - miss_base);
             instr += run.instructionsRetired;
             olap_useful += run.olapUsefulNs;
-            res.queriesShed += run.queriesShed;
-            res.queriesShedTimeout += run.queriesShedTimeout;
-            res.queriesShedAdmission += run.queriesShedAdmission;
+            res.queriesShed += run.grants.shedCount();
+            res.queriesShedTimeout += run.grants.shedTimeoutCount();
+            res.queriesShedAdmission += run.grants.shedAdmissionCount();
             if (run.autopilot)
                 res.tune = run.autopilot->result();
             if (run.obs)

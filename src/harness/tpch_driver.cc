@@ -142,11 +142,8 @@ TpchDriver::streamSession(SimRun &run, int maxdop, double miss_rate,
             uint64_t granted_bytes = 0;
             const bool granted = co_await run.grants.acquire(
                 params.grantBytes, &granted_bytes);
-            if (!granted) {
-                ++run.queriesShed;
-                ++run.queriesShedTimeout;
+            if (!granted)
                 continue;
-            }
             co_await replayQuery(run, pq.profile, params);
             run.grants.release(granted_bytes);
         }
@@ -174,9 +171,9 @@ TpchDriver::runStreams(const RunConfig &cfg, int streams)
     const double paper_seconds =
         toSeconds(cfg.duration) * double(calib::kScaleK);
     res.qps = double(run.queriesCompleted) / paper_seconds;
-    res.queriesShed = run.queriesShed;
-    res.queriesShedTimeout = run.queriesShedTimeout;
-    res.queriesShedAdmission = run.queriesShedAdmission;
+    res.queriesShed = run.grants.shedCount();
+    res.queriesShedTimeout = run.grants.shedTimeoutCount();
+    res.queriesShedAdmission = run.grants.shedAdmissionCount();
     res.mpki = touchesPerKiloInstr() * miss * calib::kAccessSampleWeight;
     if (run.sampler.hasSeries("ssd_read_Bps"))
         res.avgSsdReadBps = run.sampler.series("ssd_read_Bps").mean();

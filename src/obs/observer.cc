@@ -230,7 +230,7 @@ void
 RunObserver::tick(SimTime t)
 {
     hub_.sample(t);
-    slo_.evaluate(t, double(cfg_.sampleEvery));
+    slo_.evaluate(t);
     auto *tr = TraceRecorder::active();
     if (!tr)
         return;

@@ -149,11 +149,10 @@ SloTracker::recordLatency(int tenant, double latency_ns)
     if (tenant < 0 || tenant >= kTenants)
         return;
     tick_[tenant].latencies.add(latency_ns);
-    tick_[tenant].completions += 1;
 }
 
 size_t
-SloTracker::evaluate(SimTime t, double tick_ns)
+SloTracker::evaluate(SimTime t)
 {
     size_t added = 0;
     for (int tn = 0; tn < kTenants; ++tn) {
@@ -167,16 +166,7 @@ SloTracker::evaluate(SimTime t, double tick_ns)
                 added += 1;
             }
         }
-        if (spec.throughputFloor > 0 && tick_ns > 0) {
-            double rate = double(tt.completions) / (tick_ns * 1e-9);
-            if (rate < spec.throughputFloor) {
-                violations_.push_back({tn, "throughput_per_s", t, rate,
-                                       spec.throughputFloor});
-                added += 1;
-            }
-        }
         tt.latencies = Distribution();
-        tt.completions = 0;
     }
     return added;
 }

@@ -124,26 +124,25 @@ class SeriesHub
     std::vector<RingSeries> series_;
 };
 
-/** Per-tenant service-level objective. Zero disables a bound. */
+/** Per-tenant service-level objective. Zero disables the bound. */
 struct SloSpec
 {
-    double p99LatencyMs = 0;    ///< ceiling on per-tick p99 latency
-    double throughputFloor = 0; ///< floor on per-tick completions/s
+    double p99LatencyMs = 0; ///< ceiling on per-tick p99 latency
 };
 
 /** Structured SLO violation event. */
 struct SloViolation
 {
     int tenant = 0;
-    const char *metric = ""; ///< "p99_latency_ms" | "throughput_per_s"
+    const char *metric = ""; ///< "p99_latency_ms"
     SimTime at = 0;
     double value = 0;
     double limit = 0;
 };
 
 /**
- * Watches per-tenant latency/throughput against SloSpec bounds, one
- * evaluation per sampling tick over that tick's completions.
+ * Watches per-tenant latency against SloSpec bounds, one evaluation
+ * per sampling tick over that tick's completions.
  */
 class SloTracker
 {
@@ -155,9 +154,9 @@ class SloTracker
     /** Record one completed request's latency (simulated ns). */
     void recordLatency(int tenant, double latency_ns);
 
-    /** Evaluate the tick ending at `t` (of length `tick_ns`) and
-     * clear tick accumulators. Returns violations appended. */
-    size_t evaluate(SimTime t, double tick_ns);
+    /** Evaluate the tick ending at `t` and clear tick accumulators.
+     * Returns violations appended. */
+    size_t evaluate(SimTime t);
 
     const std::vector<SloViolation> &violations() const
     {
@@ -169,7 +168,6 @@ class SloTracker
     {
         SloSpec spec;
         Distribution latencies;
-        uint64_t completions = 0;
     };
 
     TenantTick tick_[kTenants];

@@ -48,7 +48,7 @@ ensureColumnStats(sketch::SketchHub &hub, const TableHandle &th,
             Partial p;
             if (cs.hasCms)
                 p.cms = std::make_unique<sketch::CountMinSketch>(
-                    cfg.cmsWidth, cfg.cmsDepth, seed);
+                    cfg.cmsWidth, sketch::SketchHub::kCmsDepth, seed);
             p.kll = std::make_unique<sketch::KllSketch>(
                 cfg.kllK, seed ^ (m * 0x9e3779b97f4a7c15ULL + 1));
             for (size_t r = begin; r < end; ++r) {

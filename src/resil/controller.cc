@@ -83,9 +83,8 @@ ResilResult::merge(const ResilResult &o)
                        o.transitions.end());
 }
 
-ResilController::ResilController(EventLoop &loop,
-                                 const ResilConfig &cfg)
-    : loop_(loop), cfg_(cfg), detector_(cfg_), ladder_(cfg_)
+ResilController::ResilController(EventLoop &loop, SimDuration tick)
+    : loop_(loop), tick_(tick)
 {
     for (int t = 0; t < kNumTenants; ++t)
         bucket_[t].configure(kAdmitRatePerSec[t], kAdmitBurst[t]);
@@ -110,7 +109,7 @@ Task<void>
 ResilController::tickLoop()
 {
     while (!hooks_.running || hooks_.running()) {
-        co_await SimDelay(loop_, cfg_.tick);
+        co_await SimDelay(loop_, tick_);
         if (hooks_.running && !hooks_.running())
             break;
         tick();
@@ -192,8 +191,9 @@ ResilController::tick()
 
     // --- ladder step (at most one rung per tick).
     const int before = ladder_.rung();
-    const int moved = ladder_.update(detector_.active(),
-                                     p >= cfg_.enterPressure);
+    const int moved =
+        ladder_.update(detector_.active(),
+                       p >= IncidentDetector::kEnterPressure);
     if (moved >= 0)
         actuate(before, moved);
 

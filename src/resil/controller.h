@@ -63,7 +63,9 @@ class ResilController
         std::function<bool()> running;
     };
 
-    ResilController(EventLoop &loop, const ResilConfig &cfg);
+    /** `tick` is the controller cadence (SimRun passes the obs
+     * sample interval, or 2 ms without observability). */
+    ResilController(EventLoop &loop, SimDuration tick);
 
     /** Install hooks (once, from the SimRun constructor). */
     void start(Hooks hooks);
@@ -122,7 +124,7 @@ class ResilController
     void fold(uint64_t kind, SimTime at, uint64_t payload);
 
     EventLoop &loop_;
-    ResilConfig cfg_;
+    SimDuration tick_;
     IncidentDetector detector_;
     DegradationLadder ladder_;
     TokenBucket bucket_[kNumTenants];

@@ -8,9 +8,9 @@ IncidentDetector::Edge
 IncidentDetector::observe(SimTime t, double pressure, uint32_t causes)
 {
     if (!active_) {
-        if (pressure >= cfg_.enterPressure) {
+        if (pressure >= kEnterPressure) {
             pendingCauses_ |= causes;
-            if (++hot_ >= cfg_.enterTicks) {
+            if (++hot_ >= kEnterTicks) {
                 active_ = true;
                 hot_ = 0;
                 calm_ = 0;
@@ -34,8 +34,8 @@ IncidentDetector::observe(SimTime t, double pressure, uint32_t causes)
     IncidentEvent &ev = episodes_.back();
     ev.peakPressure = std::max(ev.peakPressure, pressure);
     ev.causes |= causes;
-    if (pressure <= cfg_.exitPressure) {
-        if (++calm_ >= cfg_.exitTicks) {
+    if (pressure <= kExitPressure) {
+        if (++calm_ >= kExitTicks) {
             active_ = false;
             calm_ = 0;
             hot_ = 0;

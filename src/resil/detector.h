@@ -4,11 +4,11 @@
  * signal. The controller computes pressure each tick from SLO
  * violations and fault.* gauge deltas; the detector decides when
  * that constitutes an *incident episode* — entry requires
- * `enterTicks` consecutive ticks at/above the entry threshold, exit
- * requires `exitTicks` consecutive ticks at/below the exit
- * threshold, and the band between the thresholds holds the current
- * state. A boundary-oscillating signal (alternating hot and calm
- * ticks) therefore never flaps: neither streak ever completes.
+ * kEnterTicks consecutive ticks at/above kEnterPressure, exit
+ * requires kExitTicks consecutive ticks at/below kExitPressure, and
+ * the band between the thresholds holds the current state. A
+ * boundary-oscillating signal (alternating hot and calm ticks)
+ * therefore never flaps: neither streak ever completes.
  *
  * Pure bookkeeping, no clocks or RNG of its own: deterministic given
  * the (time, pressure) sequence, which makes same-seed incident logs
@@ -26,7 +26,15 @@ namespace dbsens::resil {
 class IncidentDetector
 {
   public:
-    explicit IncidentDetector(const ResilConfig &cfg) : cfg_(cfg) {}
+    /** Pressure at/above this counts toward incident entry (and is
+     * a "hot" tick for the ladder). */
+    static constexpr double kEnterPressure = 1.0;
+    /** Consecutive hot ticks before an incident is declared. */
+    static constexpr int kEnterTicks = 2;
+    /** Pressure at/below this counts toward incident exit. */
+    static constexpr double kExitPressure = 0.25;
+    /** Consecutive calm ticks before the incident clears. */
+    static constexpr int kExitTicks = 4;
 
     /** What one observe() call decided. */
     enum class Edge { None, Enter, Exit };
@@ -49,10 +57,9 @@ class IncidentDetector
     double totalIncidentNs(SimTime now) const;
 
   private:
-    const ResilConfig &cfg_;
     bool active_ = false;
-    int hot_ = 0;  ///< consecutive ticks at/above enterPressure
-    int calm_ = 0; ///< consecutive ticks at/below exitPressure
+    int hot_ = 0;  ///< consecutive ticks at/above kEnterPressure
+    int calm_ = 0; ///< consecutive ticks at/below kExitPressure
     uint32_t pendingCauses_ = 0; ///< causes over the entry streak
     std::vector<IncidentEvent> episodes_;
 };

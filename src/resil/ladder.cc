@@ -2,12 +2,10 @@
 
 namespace dbsens::resil {
 
-DegradationLadder::DegradationLadder(const ResilConfig &cfg) : cfg_(cfg)
+DegradationLadder::DegradationLadder()
 {
-    const int64_t base = std::max(1, cfg_.holdTicks);
     for (int r = 0; r <= kNumRungs; ++r)
-        hold_[r] = ExpBackoff(
-            base, base << std::max(0, cfg_.holdShiftCap));
+        hold_[r] = ExpBackoff(kHoldTicks, kHoldTicks << kHoldShiftCap);
 }
 
 int
@@ -16,7 +14,7 @@ DegradationLadder::update(bool incident, bool hot)
     if (incident && hot) {
         calmTicks_ = 0;
         quietTicks_ = 0;
-        if (rung_ < kNumRungs && ++hotTicks_ >= cfg_.escalateTicks) {
+        if (rung_ < kNumRungs && ++hotTicks_ >= kEscalateTicks) {
             hotTicks_ = 0;
             ++rung_;
             ++escalations_;
@@ -42,7 +40,7 @@ DegradationLadder::update(bool incident, bool hot)
     if (rung_ == kRungNone) {
         // Fully disengaged and calm: a long enough quiet spell
         // forgives past engagements and resets every hold.
-        if (++quietTicks_ >= cfg_.strikeResetTicks) {
+        if (++quietTicks_ >= kStrikeResetTicks) {
             quietTicks_ = 0;
             for (int r = 0; r <= kNumRungs; ++r)
                 hold_[r].reset();

@@ -3,7 +3,7 @@
  * DegradationLadder: the staged-defense state machine, plus the
  * deterministic TokenBucket used for per-tenant admission control.
  *
- * The ladder climbs one rung per `escalateTicks` consecutive hot
+ * The ladder climbs one rung per kEscalateTicks consecutive hot
  * ticks while an incident is active and steps down one rung after a
  * per-rung *hold* of calm ticks once the incident clears. Each
  * rung's hold follows a capped-exponential re-admission backoff
@@ -73,7 +73,18 @@ class TokenBucket
 class DegradationLadder
 {
   public:
-    explicit DegradationLadder(const ResilConfig &cfg);
+    /** Hot ticks at the current rung before escalating. */
+    static constexpr int kEscalateTicks = 2;
+    /** Calm ticks held at a rung before stepping down: the base of
+     * the per-rung capped-exponential re-admission backoff. */
+    static constexpr int kHoldTicks = 6;
+    /** Backoff cap: a hold never exceeds kHoldTicks << kHoldShiftCap
+     * (holds 6, 12, 24, 48). */
+    static constexpr int kHoldShiftCap = 3;
+    /** Calm ticks at rung 0 that reset every rung's backoff. */
+    static constexpr int kStrikeResetTicks = 64;
+
+    DegradationLadder();
 
     /**
      * Feed one tick. `incident` is the detector state after its own
@@ -89,7 +100,6 @@ class DegradationLadder
     int deescalations() const { return deescalations_; }
 
   private:
-    const ResilConfig &cfg_;
     int rung_ = kRungNone;
     int maxRung_ = kRungNone;
     int hotTicks_ = 0;

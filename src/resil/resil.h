@@ -48,36 +48,13 @@ enum : uint32_t {
 /** Resilience configuration (RunConfig::resil). Disabled by default:
  * a disabled config constructs no controller, spawns no tick, and
  * leaves the run byte-identical (the same null-pointer gate as fault
- * injection, tuning, and observability). */
+ * injection, tuning, and observability). The detector and ladder
+ * thresholds are fixed constants (resil/detector.h, resil/ladder.h);
+ * the controller ticks at the obs sample interval when observability
+ * is on, else every 2 ms, so SLO verdicts are always one tick fresh. */
 struct ResilConfig
 {
     bool enabled = false;
-
-    /** Controller tick. 0 = engine default (the obs sample interval
-     * when observability is on, else 2ms) so SLO verdicts are always
-     * one tick fresh. */
-    SimDuration tick = 0;
-
-    // --- incident detector -------------------------------------
-    /** Pressure at/above this counts toward incident entry. */
-    double enterPressure = 1.0;
-    /** Consecutive hot ticks before an incident is declared. */
-    int enterTicks = 2;
-    /** Pressure at/below this counts toward incident exit. */
-    double exitPressure = 0.25;
-    /** Consecutive calm ticks before the incident clears. */
-    int exitTicks = 4;
-
-    // --- degradation ladder ------------------------------------
-    /** Hot ticks at the current rung before escalating. */
-    int escalateTicks = 2;
-    /** Calm ticks held at a rung before stepping down (base of the
-     * per-rung capped-exponential re-admission backoff). */
-    int holdTicks = 6;
-    /** Backoff cap: hold never exceeds holdTicks << holdShiftCap. */
-    int holdShiftCap = 3;
-    /** Calm ticks at rung 0 that reset every rung's backoff. */
-    int strikeResetTicks = 64;
 };
 
 /** One detected incident episode. end == 0 while still open. */

@@ -70,7 +70,7 @@ SsdModel::injectIoFaults(bool is_read, uint64_t bytes)
     bool errored = false;
     while (faults_->drawSsdError()) {
         errored = true;
-        if (attempt >= faults_->config().maxIoRetries) {
+        if (attempt >= kMaxIoRetries) {
             // Retry budget exhausted: surface the loss and move on
             // (graceful degradation; upper layers see the counter).
             faults_->noteSsdExhausted();

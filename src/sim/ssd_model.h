@@ -32,6 +32,10 @@ class StatsRegistry;
 class SsdModel
 {
   public:
+    /** Re-issues of a transiently failed I/O before it is given up
+     * (`fault.ssd.exhausted`). */
+    static constexpr int kMaxIoRetries = 5;
+
     explicit SsdModel(EventLoop &loop) : loop_(loop) {}
 
     /** Set a read-bandwidth limit in bytes/sec (0 = device limit). */

@@ -5,18 +5,25 @@ namespace sketch {
 
 namespace {
 
+/** Base seed of every hub sketch. */
+constexpr uint64_t kSeed = 0x5eed5ce7c4ULL;
+/** Hot-row/page tracker width. */
+constexpr uint32_t kHotWidth = 4096;
 /** Hot-row tracker partitions per table. */
 constexpr uint32_t kHotParts = 8;
+/** A key is hot when its estimate is at least kHotFraction of the
+ * tracked total, once that total reaches kHotMinTotal accesses. */
+constexpr double kHotFraction = 0.02;
+constexpr uint64_t kHotMinTotal = 512;
 /** Grant-capacity drop ratio per sketch shed rung. */
 constexpr double kShrinkGrantFrac = 0.5;
 
 } // namespace
 
 SketchHub::SketchHub(const SketchConfig &cfg)
-    : cfg_(cfg), pageHeat_(cfg.hotWidth, cfg.cmsDepth,
-                           cfg.seed ^ 0x7061676573ULL),
-      lat_{KllSketch(cfg.kllK, cfg.seed ^ 0x6c617430ULL),
-           KllSketch(cfg.kllK, cfg.seed ^ 0x6c617431ULL)}
+    : cfg_(cfg), pageHeat_(kHotWidth, kCmsDepth, kSeed ^ 0x7061676573ULL),
+      lat_{KllSketch(cfg.kllK, kSeed ^ 0x6c617430ULL),
+           KllSketch(cfg.kllK, kSeed ^ 0x6c617431ULL)}
 {
 }
 
@@ -35,7 +42,7 @@ SketchHub::addColumn(const std::string &table,
     auto &slot = columns_[table + "." + column];
     if (!slot)
         slot = std::make_unique<ColumnStats>(
-            cfg_.cmsWidth, cfg_.cmsDepth, cfg_.kllK,
+            cfg_.cmsWidth, kCmsDepth, cfg_.kllK,
             columnSeed(table, column));
     return *slot;
 }
@@ -45,7 +52,7 @@ SketchHub::columnSeed(const std::string &table,
                       const std::string &column) const
 {
     const std::string key = table + "." + column;
-    return cfg_.seed ^ fnv1a(key.data(), key.size());
+    return kSeed ^ fnv1a(key.data(), key.size());
 }
 
 void
@@ -54,14 +61,14 @@ SketchHub::noteRowAccess(uint64_t tableId, uint64_t row)
     auto &slot = rowHeat_[tableId];
     if (!slot)
         slot = std::make_unique<PartitionedCms>(
-            kHotParts, cfg_.hotWidth, cfg_.cmsDepth,
-            cfg_.seed ^ (tableId * 0x9e3779b97f4a7c15ULL));
+            kHotParts, kHotWidth, kCmsDepth,
+            kSeed ^ (tableId * 0x9e3779b97f4a7c15ULL));
     ++rowAccesses_;
     slot->update(row);
     const uint64_t total = slot->total();
-    if (total >= cfg_.hotMinTotal &&
+    if (total >= kHotMinTotal &&
         double(slot->estimate(row)) >=
-            cfg_.hotFraction * double(total))
+            kHotFraction * double(total))
         ++hotHits_;
 }
 
@@ -72,9 +79,9 @@ SketchHub::isHotRow(uint64_t tableId, uint64_t row) const
     if (it == rowHeat_.end())
         return false;
     const uint64_t total = it->second->total();
-    return total >= cfg_.hotMinTotal &&
+    return total >= kHotMinTotal &&
            double(it->second->estimate(row)) >=
-               cfg_.hotFraction * double(total);
+               kHotFraction * double(total);
 }
 
 void
@@ -192,7 +199,7 @@ SketchHub::result() const
     SketchResult r;
     r.enabled = true;
     r.cmsWidth = pageHeat_.width();
-    r.cmsDepth = cfg_.cmsDepth;
+    r.cmsDepth = kCmsDepth;
     r.cmsEps = pageHeat_.epsilon();
     r.kllK = lat_[0].k();
     r.resizes = resizes_;

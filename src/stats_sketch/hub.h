@@ -49,18 +49,9 @@ struct SketchConfig
     /** Master gate: false ⇒ no hub, byte-identical runs. */
     bool enabled = false;
 
-    // --- sketch shapes (per column / tracker) ---
+    // --- sketch shapes (per column) ---
     uint32_t cmsWidth = 8192; ///< column frequency sketch width
-    uint32_t cmsDepth = 4;    ///< rows; bound fails w.p. exp(-depth)
     uint32_t kllK = 200;      ///< quantile compaction budget
-    uint32_t hotWidth = 4096; ///< hot-row/page tracker width
-    uint64_t seed = 0x5eed5ce7c4ULL;
-
-    // --- hot-key policy ---
-    /** A key is hot when its estimate >= hotFraction * total. */
-    double hotFraction = 0.02;
-    /** ... and at least this many accesses were tracked. */
-    uint64_t hotMinTotal = 512;
 };
 
 /** Harness-facing summary for OltpRunResult / reports. */
@@ -90,6 +81,8 @@ class SketchHub
 {
   public:
     static constexpr int kTenants = 2;
+    /** CMS rows of every sketch; a bound fails w.p. exp(-depth). */
+    static constexpr uint32_t kCmsDepth = 4;
 
     explicit SketchHub(const SketchConfig &cfg);
 

@@ -9,8 +9,9 @@
 namespace dbsens {
 
 Autopilot::Autopilot(EventLoop &loop, const TuneConfig &cfg,
-                     const ResourceTotals &totals)
-    : loop_(loop), cfg_(cfg), arbiter_(totals)
+                     const ResourceTotals &totals,
+                     SimDuration start_delay)
+    : loop_(loop), cfg_(cfg), startDelay_(start_delay), arbiter_(totals)
 {
     const KnobState initial = cfg_.haveInitial
                                   ? arbiter_.clamp(cfg_.initial)
@@ -146,8 +147,8 @@ Autopilot::applyState(const KnobState &next, bool force)
 Task<void>
 Autopilot::epochLoop()
 {
-    if (cfg_.startDelay > 0)
-        co_await SimDelay(loop_, cfg_.startDelay);
+    if (startDelay_ > 0)
+        co_await SimDelay(loop_, startDelay_);
     for (int t = 0; t < kNumTenants; ++t)
         lastProgress_[t] = readProgress(t);
 
@@ -172,7 +173,7 @@ Autopilot::epochLoop()
         if (!weightsSet_) {
             for (int t = 0; t < kNumTenants; ++t)
                 rateSum_[t] += m.rate[t];
-            if (epochs_ >= cfg_.baselineEpochs) {
+            if (epochs_ >= kBaselineEpochs) {
                 // Self-normalize: the even-split baseline scores
                 // ~kNumTenants, so the score is a sum of normalized
                 // per-tenant throughputs.

@@ -68,8 +68,22 @@ class Autopilot
         std::function<bool()> running;
     };
 
+    /**
+     * Baseline epochs before probing starts; also the window used to
+     * self-normalize the per-tenant score weights: each becomes
+     * 1 / (tenant's mean rate over these epochs), so the even-split
+     * baseline scores ~= kNumTenants and the score is a sum of
+     * normalized per-tenant throughputs.
+     */
+    static constexpr int kBaselineEpochs = 2;
+
+    /**
+     * `start_delay` holds off the first control epoch (SimRun passes
+     * the run's warmup, so measurement starts in steady state); the
+     * initial knob state is still applied at once by start().
+     */
     Autopilot(EventLoop &loop, const TuneConfig &cfg,
-              const ResourceTotals &totals);
+              const ResourceTotals &totals, SimDuration start_delay);
 
     /**
      * Apply the policy's initial state through the actuators and
@@ -135,6 +149,7 @@ class Autopilot
 
     EventLoop &loop_;
     TuneConfig cfg_;
+    SimDuration startDelay_;
     ResourceArbiter arbiter_;
     std::unique_ptr<TuningPolicy> policy_;
     Actuators act_;

@@ -116,30 +116,11 @@ struct TuneConfig
     SimDuration epoch = milliseconds(10);
 
     /**
-     * Baseline epochs before probing starts; also the window used to
-     * self-normalize the per-tenant score weights: each becomes
-     * 1 / (tenant's mean rate over these epochs), so the even-split
-     * baseline scores ~= kNumTenants and the score is a sum of
-     * normalized per-tenant throughputs.
-     */
-    int baselineEpochs = 2;
-
-    /**
      * Guardrail: a trial shift is kept only if the epoch score
      * exceeds the baseline EWMA by this relative margin; otherwise
      * the shift is rolled back and the move cools down.
      */
     double hysteresis = 0.02;
-
-    /** Deterministic seed (reserved for stochastic policies). */
-    uint64_t seed = 1;
-
-    /**
-     * Delay before the first control epoch (the engine sets this to
-     * the run's warmup so measurement starts in steady state). The
-     * initial knob state is still applied at time zero.
-     */
-    SimDuration startDelay = 0;
 };
 
 /** One elementary knob change the arbiter can propose. */

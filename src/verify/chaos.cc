@@ -312,7 +312,6 @@ runEpisode(const ChaosEpisode &ep)
         cfg.obs.enabled = true;
         cfg.obs.sampleEvery = milliseconds(2);
         cfg.obs.slo[0].p99LatencyMs = 4.0;
-        cfg.resil.tick = milliseconds(2);
     }
     // Online audits at the end of every phase, pre- and post-crash.
     cfg.phaseAudit = [&rep](SimRun &run, int) {

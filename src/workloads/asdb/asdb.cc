@@ -141,99 +141,68 @@ AsdbWorkload::session(SimRun &run, Database &db, uint64_t seed)
     auto &scaling = db.table("scaling");
     auto &growing = db.table("growing");
 
-    int admit_streak = 0;
-    while (run.running()) {
-        // Resilience admission: at the admission rung transactions
-        // are deferred (not dropped) with a deterministic capped-
-        // exponential backoff; OLTP-priority bypasses the bucket.
-        if (run.resil && !run.resil->admitWork(kTenantOltp)) {
-            co_await SimDelay(
-                run.loop, run.resil->admitRetryDelay(++admit_streak));
-            continue;
-        }
-        admit_streak = 0;
-        const Op op = pickOp(rng);
-        // Victim retry policy: a failed attempt (lock timeout or
-        // absent key) is retried up to txnRetryLimit times with
-        // capped exponential backoff before the session gives up.
-        for (int attempt = 0;; ++attempt) {
-            TxnCtx tx(run, run.allocTxnId());
-            bool ok = true;
-            RowId row = kInvalidRow;
-
-            switch (op) {
-              case Op::PointRead: {
-                const int64_t key = int64_t(scaling_zipf(rng));
-                ok = co_await tx.seekRow(scaling, "s_key", key,
-                                         LockMode::S, &row);
-                break;
-              }
-              case Op::RangeRead: {
-                const int64_t key = int64_t(scaling_zipf(rng));
-                co_await tx.scanIndexRange(scaling, "s_key", key,
-                                           key + 50, 50);
-                break;
-              }
-              case Op::Update: {
-                const int64_t key = int64_t(scaling_zipf(rng));
-                ok = co_await tx.seekRow(scaling, "s_key", key,
+    // One attempt at `op`: false on a lock timeout or an absent key.
+    auto attempt = [&](TxnCtx &tx, Op op) -> Task<bool> {
+        bool ok = true;
+        RowId row = kInvalidRow;
+        switch (op) {
+          case Op::PointRead: {
+            const int64_t key = int64_t(scaling_zipf(rng));
+            ok = co_await tx.seekRow(scaling, "s_key", key,
+                                     LockMode::S, &row);
+            break;
+          }
+          case Op::RangeRead: {
+            const int64_t key = int64_t(scaling_zipf(rng));
+            co_await tx.scanIndexRange(scaling, "s_key", key,
+                                       key + 50, 50);
+            break;
+          }
+          case Op::Update: {
+            const int64_t key = int64_t(scaling_zipf(rng));
+            ok = co_await tx.seekRow(scaling, "s_key", key,
+                                     LockMode::U, &row);
+            if (ok && row != kInvalidRow) {
+                ok = co_await tx.lockRow(scaling, row, LockMode::X);
+                if (ok)
+                    co_await tx.updateRow(
+                        scaling, row, "s_int1",
+                        Value(int64_t(rng.uniform(1000000))));
+            }
+            break;
+          }
+          case Op::Insert: {
+            const int64_t key = nextGrowKey_++;
+            std::vector<Value> vals = wideRow(key, rng);
+            co_await tx.insertRow(growing, vals);
+            break;
+          }
+          case Op::Delete: {
+            // Delete from the head of the growing table (oldest).
+            if (growHead_ < nextGrowKey_ - 1) {
+                const int64_t key = growHead_++;
+                ok = co_await tx.seekRow(growing, "g_key", key,
                                          LockMode::U, &row);
                 if (ok && row != kInvalidRow) {
-                    ok = co_await tx.lockRow(scaling, row, LockMode::X);
+                    ok = co_await tx.lockRow(growing, row, LockMode::X);
                     if (ok)
-                        co_await tx.updateRow(
-                            scaling, row, "s_int1",
-                            Value(int64_t(rng.uniform(1000000))));
+                        co_await tx.deleteRow(growing, row);
                 }
-                break;
-              }
-              case Op::Insert: {
-                const int64_t key = nextGrowKey_++;
-                std::vector<Value> vals = wideRow(key, rng);
-                co_await tx.insertRow(growing, vals);
-                break;
-              }
-              case Op::Delete: {
-                // Delete from the head of the growing table (oldest).
-                if (growHead_ < nextGrowKey_ - 1) {
-                    const int64_t key = growHead_++;
-                    ok = co_await tx.seekRow(growing, "g_key", key,
-                                             LockMode::U, &row);
-                    if (ok && row != kInvalidRow) {
-                        ok = co_await tx.lockRow(growing, row, LockMode::X);
-                        if (ok)
-                            co_await tx.deleteRow(growing, row);
-                    }
-                }
-                break;
-              }
-              case Op::FixedRead: {
-                const int64_t key = int64_t(rng.uniform(sc.fixedRows));
-                ok = co_await tx.seekRow(fixed, "f_key", key, LockMode::S,
-                                         &row);
-                // ASDB's CPU-heavy lookup flavour.
-                tx.charge(oltpcost::kRowReadInstr * 10);
-                break;
-              }
             }
-
-            if (ok) {
-                co_await tx.commit();
-                break;
-            }
-            co_await tx.rollback();
-            if (attempt < run.config().txnRetryLimit) {
-                ++run.txnsRetried;
-                co_await SimDelay(run.loop,
-                                  victimRetryBackoff(rng, attempt + 1));
-                continue;
-            }
-            if (run.config().txnRetryLimit > 0)
-                ++run.txnsGivenUp;
-            co_await SimDelay(run.loop, retryBackoff(rng));
             break;
+          }
+          case Op::FixedRead: {
+            const int64_t key = int64_t(rng.uniform(sc.fixedRows));
+            ok = co_await tx.seekRow(fixed, "f_key", key, LockMode::S,
+                                     &row);
+            // ASDB's CPU-heavy lookup flavour.
+            tx.charge(oltpcost::kRowReadInstr * 10);
+            break;
+          }
         }
-    }
+        co_return ok;
+    };
+    co_await oltpSession(run, rng, pickOp, attempt);
 }
 
 } // namespace asdb

@@ -73,8 +73,6 @@ HtapWorkload::analyticalOnce(SimRun &run, Database &db,
     // shed before it queues, with a deterministic capped-exponential
     // re-admission backoff per consecutive shed.
     if (run.resil && !run.resil->admitWork(kTenantOlap)) {
-        ++run.queriesShed;
-        ++run.queriesShedAdmission;
         run.grants.noteAdmissionShed();
         co_await SimDelay(run.loop,
                           run.resil->admitRetryDelay(++shed_streak));
@@ -139,11 +137,8 @@ HtapWorkload::analyticalOnce(SimRun &run, Database &db,
         if (run.obs)
             run.obs->chargeGrantWait(kTenantOlap, grant_start,
                                      run.loop.now());
-        if (!ok) {
-            ++run.queriesShed;
-            ++run.queriesShedTimeout;
+        if (!ok)
             co_return;
-        }
         params.grantBytes = granted;
         co_await replayQuery(run, pq.profile, params);
         run.grants.release(granted);

@@ -230,233 +230,202 @@ TpceWorkload::session(SimRun &run, Database &db, uint64_t seed)
     auto &broker = db.table("broker");
     auto &customer = db.table("customer");
 
-    int admit_streak = 0;
-    while (run.running()) {
-        // Resilience admission: at the admission rung transactions
-        // are deferred (not dropped) with a deterministic capped-
-        // exponential backoff; OLTP-priority bypasses the bucket.
-        if (run.resil && !run.resil->admitWork(kTenantOltp)) {
-            co_await SimDelay(
-                run.loop, run.resil->admitRetryDelay(++admit_streak));
-            continue;
-        }
-        admit_streak = 0;
-        const TxnType type = pickTxn(rng);
-        // Victim retry policy: a failed attempt (lock timeout or
-        // absent key) is retried up to txnRetryLimit times with
-        // capped exponential backoff before the session gives up.
-        for (int attempt = 0;; ++attempt) {
-            TxnCtx tx(run, run.allocTxnId());
-            bool ok = true;
-            RowId row = kInvalidRow;
-
-            switch (type) {
-              case TxnType::TradeOrder: {
-                const int64_t acct = int64_t(acct_zipf(rng));
-                const int64_t sec = int64_t(sec_zipf(rng));
-                ok = co_await tx.seekRow(account, "ca_id", acct,
+    // One attempt at `type`: false on a lock timeout or an absent key.
+    auto attempt = [&](TxnCtx &tx, TxnType type) -> Task<bool> {
+        bool ok = true;
+        RowId row = kInvalidRow;
+        switch (type) {
+          case TxnType::TradeOrder: {
+            const int64_t acct = int64_t(acct_zipf(rng));
+            const int64_t sec = int64_t(sec_zipf(rng));
+            ok = co_await tx.seekRow(account, "ca_id", acct,
+                                     LockMode::S, &row);
+            if (ok)
+                ok = co_await tx.seekRow(security, "s_id", sec,
                                          LockMode::S, &row);
-                if (ok)
-                    ok = co_await tx.seekRow(security, "s_id", sec,
-                                             LockMode::S, &row);
-                if (ok)
-                    ok = co_await tx.seekRow(last_trade, "lt_s_id", sec,
-                                             LockMode::S, &row);
-                if (ok) {
-                    const double price =
-                        last_trade.data->column("lt_price").getDouble(row);
-                    const int64_t tid = int64_t(nextTradeId_++);
-                    std::vector<Value> vals{
-                        tid, int64_t(run.loop.now() / 1000), acct, sec,
-                        int64_t(rng.uniform(800)) + 100, price,
-                        double(rng.uniform(5000)) / 100, "SBMT",
-                        rng.chance(0.5) ? "B" : "S"};
-                    co_await tx.insertRow(trade, vals);
-                    // Pending-trade count on the broker: a hot row shared
-                    // by ~100 customers (the serialization point whose
-                    // pain shrinks as the broker table scales).
-                    const int64_t bid = acct % int64_t(sc.brokers);
-                    RowId brow;
-                    ok = co_await tx.seekRow(broker, "b_id", bid,
-                                             LockMode::U, &brow);
-                    if (ok && brow != kInvalidRow) {
-                        ok = co_await tx.lockRow(broker, brow,
-                                                 LockMode::X);
-                        if (ok) {
-                            const int64_t n =
-                                broker.data->column("b_num_trades")
-                                    .getInt(brow);
-                            co_await tx.updateRow(broker, brow,
-                                                  "b_num_trades",
-                                                  Value(n + 1));
-                        }
+            if (ok)
+                ok = co_await tx.seekRow(last_trade, "lt_s_id", sec,
+                                         LockMode::S, &row);
+            if (ok) {
+                const double price =
+                    last_trade.data->column("lt_price").getDouble(row);
+                const int64_t tid = int64_t(nextTradeId_++);
+                std::vector<Value> vals{
+                    tid, int64_t(run.loop.now() / 1000), acct, sec,
+                    int64_t(rng.uniform(800)) + 100, price,
+                    double(rng.uniform(5000)) / 100, "SBMT",
+                    rng.chance(0.5) ? "B" : "S"};
+                co_await tx.insertRow(trade, vals);
+                // Pending-trade count on the broker: a hot row shared
+                // by ~100 customers (the serialization point whose
+                // pain shrinks as the broker table scales).
+                const int64_t bid = acct % int64_t(sc.brokers);
+                RowId brow;
+                ok = co_await tx.seekRow(broker, "b_id", bid,
+                                         LockMode::U, &brow);
+                if (ok && brow != kInvalidRow) {
+                    ok = co_await tx.lockRow(broker, brow,
+                                             LockMode::X);
+                    if (ok) {
+                        const int64_t n =
+                            broker.data->column("b_num_trades")
+                                .getInt(brow);
+                        co_await tx.updateRow(broker, brow,
+                                              "b_num_trades",
+                                              Value(n + 1));
                     }
                 }
-                break;
-              }
-              case TxnType::TradeResult: {
-                // Complete a recently submitted trade.
-                const uint64_t back = 1 + rng.uniform(2000);
-                const int64_t tid =
-                    int64_t(nextTradeId_ > back ? nextTradeId_ - back : 0);
-                ok = co_await tx.seekRow(trade, "t_id", tid, LockMode::U,
-                                         &row);
-                if (ok && row != kInvalidRow) {
-                    ok = co_await tx.lockRow(trade, row, LockMode::X);
-                    if (ok) {
-                        co_await tx.updateRow(trade, row, "t_status",
-                                              Value("CMPT"));
-                        const int64_t acct =
-                            trade.data->column("t_ca_id").getInt(row);
-                        RowId arow;
-                        ok = co_await tx.seekRow(account, "ca_id", acct,
-                                                 LockMode::U, &arow);
-                        if (ok && arow != kInvalidRow) {
-                            ok = co_await tx.lockRow(account, arow,
-                                                     LockMode::X);
-                            if (ok) {
-                                const double bal =
-                                    account.data->column("ca_bal")
-                                        .getDouble(arow);
-                                co_await tx.updateRow(account, arow,
-                                                      "ca_bal",
-                                                      Value(bal + 1.0));
-                                // Broker stats (hot rows: few brokers).
-                                const int64_t bid =
-                                    account.data->column("ca_b_id")
-                                        .getInt(arow);
-                                RowId brow;
-                                ok = co_await tx.seekRow(broker, "b_id",
-                                                         bid, LockMode::U,
-                                                         &brow);
-                                if (ok && brow != kInvalidRow) {
-                                    ok = co_await tx.lockRow(
-                                        broker, brow, LockMode::X);
-                                    if (ok) {
-                                        const int64_t n =
-                                            broker.data
-                                                ->column("b_num_trades")
-                                                .getInt(brow);
-                                        co_await tx.updateRow(
-                                            broker, brow, "b_num_trades",
-                                            Value(n + 1));
-                                    }
+            }
+            break;
+          }
+          case TxnType::TradeResult: {
+            // Complete a recently submitted trade.
+            const uint64_t back = 1 + rng.uniform(2000);
+            const int64_t tid =
+                int64_t(nextTradeId_ > back ? nextTradeId_ - back : 0);
+            ok = co_await tx.seekRow(trade, "t_id", tid, LockMode::U,
+                                     &row);
+            if (ok && row != kInvalidRow) {
+                ok = co_await tx.lockRow(trade, row, LockMode::X);
+                if (ok) {
+                    co_await tx.updateRow(trade, row, "t_status",
+                                          Value("CMPT"));
+                    const int64_t acct =
+                        trade.data->column("t_ca_id").getInt(row);
+                    RowId arow;
+                    ok = co_await tx.seekRow(account, "ca_id", acct,
+                                             LockMode::U, &arow);
+                    if (ok && arow != kInvalidRow) {
+                        ok = co_await tx.lockRow(account, arow,
+                                                 LockMode::X);
+                        if (ok) {
+                            const double bal =
+                                account.data->column("ca_bal")
+                                    .getDouble(arow);
+                            co_await tx.updateRow(account, arow,
+                                                  "ca_bal",
+                                                  Value(bal + 1.0));
+                            // Broker stats (hot rows: few brokers).
+                            const int64_t bid =
+                                account.data->column("ca_b_id")
+                                    .getInt(arow);
+                            RowId brow;
+                            ok = co_await tx.seekRow(broker, "b_id",
+                                                     bid, LockMode::U,
+                                                     &brow);
+                            if (ok && brow != kInvalidRow) {
+                                ok = co_await tx.lockRow(
+                                    broker, brow, LockMode::X);
+                                if (ok) {
+                                    const int64_t n =
+                                        broker.data
+                                            ->column("b_num_trades")
+                                            .getInt(brow);
+                                    co_await tx.updateRow(
+                                        broker, brow, "b_num_trades",
+                                        Value(n + 1));
                                 }
                             }
                         }
                     }
                 }
-                break;
-              }
-              case TxnType::TradeLookup: {
-                // Uniform over all trades: cold pages at large SF.
-                for (int i = 0; ok && i < 4; ++i) {
-                    const int64_t tid =
-                        int64_t(rng.uniform(nextTradeId_ ? nextTradeId_
-                                                         : 1));
-                    ok = co_await tx.seekRow(trade, "t_id", tid,
-                                             LockMode::S, &row);
-                    if (row == kInvalidRow)
-                        break;
-                }
-                break;
-              }
-              case TxnType::TradeUpdate: {
-                for (int i = 0; ok && i < 2; ++i) {
-                    const int64_t tid =
-                        int64_t(rng.uniform(nextTradeId_ ? nextTradeId_
-                                                         : 1));
-                    ok = co_await tx.seekRow(trade, "t_id", tid,
-                                             LockMode::U, &row);
-                    if (!ok || row == kInvalidRow)
-                        break;
-                    ok = co_await tx.lockRow(trade, row, LockMode::X);
-                    if (ok)
-                        co_await tx.updateRow(
-                            trade, row, "t_chrg",
-                            Value(double(rng.uniform(5000)) / 100));
-                }
-                break;
-              }
-              case TxnType::TradeStatus: {
-                const int64_t acct = int64_t(acct_zipf(rng));
-                co_await tx.scanIndexRange(trade, "t_ca_id", acct, acct,
-                                           50);
-                break;
-              }
-              case TxnType::CustomerPosition: {
-                const int64_t cust = int64_t(cust_zipf(rng));
-                ok = co_await tx.seekRow(customer, "c_id", cust,
+            }
+            break;
+          }
+          case TxnType::TradeLookup: {
+            // Uniform over all trades: cold pages at large SF.
+            for (int i = 0; ok && i < 4; ++i) {
+                const int64_t tid =
+                    int64_t(rng.uniform(nextTradeId_ ? nextTradeId_
+                                                     : 1));
+                ok = co_await tx.seekRow(trade, "t_id", tid,
                                          LockMode::S, &row);
-                for (int i = 0; ok && i < 5; ++i) {
-                    const int64_t acct = cust * 5 + i;
-                    if (uint64_t(acct) >= sc.accounts)
-                        break;
-                    ok = co_await tx.seekRow(account, "ca_id", acct,
-                                             LockMode::S, &row);
-                    if (ok)
-                        co_await tx.scanIndexRange(holding, "h_ca_id",
-                                                   acct, acct, 20);
-                }
-                break;
-              }
-              case TxnType::MarketFeed: {
-                // Hot exclusive updates of last_trade.
-                for (int i = 0; ok && i < 10; ++i) {
-                    const int64_t sec = int64_t(sec_zipf(rng));
-                    ok = co_await tx.seekRow(last_trade, "lt_s_id", sec,
-                                             LockMode::U, &row);
-                    if (!ok || row == kInvalidRow)
-                        break;
-                    ok = co_await tx.lockRow(last_trade, row, LockMode::X);
-                    if (ok)
-                        co_await tx.updateRow(
-                            last_trade, row, "lt_price",
-                            Value(20.0 + double(rng.uniform(10000)) / 100));
-                }
-                break;
-              }
-              case TxnType::MarketWatch: {
-                for (int i = 0; ok && i < 20; ++i) {
-                    const int64_t sec = int64_t(sec_zipf(rng));
-                    ok = co_await tx.seekRow(last_trade, "lt_s_id", sec,
-                                             LockMode::S, &row);
-                }
-                break;
-              }
-              case TxnType::SecurityDetail: {
-                const int64_t sec = int64_t(sec_zipf(rng));
-                ok = co_await tx.seekRow(security, "s_id", sec,
+                if (row == kInvalidRow)
+                    break;
+            }
+            break;
+          }
+          case TxnType::TradeUpdate: {
+            for (int i = 0; ok && i < 2; ++i) {
+                const int64_t tid =
+                    int64_t(rng.uniform(nextTradeId_ ? nextTradeId_
+                                                     : 1));
+                ok = co_await tx.seekRow(trade, "t_id", tid,
+                                         LockMode::U, &row);
+                if (!ok || row == kInvalidRow)
+                    break;
+                ok = co_await tx.lockRow(trade, row, LockMode::X);
+                if (ok)
+                    co_await tx.updateRow(
+                        trade, row, "t_chrg",
+                        Value(double(rng.uniform(5000)) / 100));
+            }
+            break;
+          }
+          case TxnType::TradeStatus: {
+            const int64_t acct = int64_t(acct_zipf(rng));
+            co_await tx.scanIndexRange(trade, "t_ca_id", acct, acct,
+                                       50);
+            break;
+          }
+          case TxnType::CustomerPosition: {
+            const int64_t cust = int64_t(cust_zipf(rng));
+            ok = co_await tx.seekRow(customer, "c_id", cust,
+                                     LockMode::S, &row);
+            for (int i = 0; ok && i < 5; ++i) {
+                const int64_t acct = cust * 5 + i;
+                if (uint64_t(acct) >= sc.accounts)
+                    break;
+                ok = co_await tx.seekRow(account, "ca_id", acct,
                                          LockMode::S, &row);
                 if (ok)
-                    ok = co_await tx.seekRow(last_trade, "lt_s_id", sec,
-                                             LockMode::S, &row);
-                break;
-              }
-              case TxnType::BrokerVolume: {
-                co_await tx.scanIndexRange(broker, "b_id", 0,
-                                           int64_t(sc.brokers), 40);
-                break;
-              }
+                    co_await tx.scanIndexRange(holding, "h_ca_id",
+                                               acct, acct, 20);
             }
-
-            if (ok) {
-                co_await tx.commit();
-                break;
-            }
-            co_await tx.rollback();
-            if (attempt < run.config().txnRetryLimit) {
-                ++run.txnsRetried;
-                co_await SimDelay(run.loop,
-                                  victimRetryBackoff(rng, attempt + 1));
-                continue;
-            }
-            if (run.config().txnRetryLimit > 0)
-                ++run.txnsGivenUp;
-            co_await SimDelay(run.loop, retryBackoff(rng));
             break;
+          }
+          case TxnType::MarketFeed: {
+            // Hot exclusive updates of last_trade.
+            for (int i = 0; ok && i < 10; ++i) {
+                const int64_t sec = int64_t(sec_zipf(rng));
+                ok = co_await tx.seekRow(last_trade, "lt_s_id", sec,
+                                         LockMode::U, &row);
+                if (!ok || row == kInvalidRow)
+                    break;
+                ok = co_await tx.lockRow(last_trade, row, LockMode::X);
+                if (ok)
+                    co_await tx.updateRow(
+                        last_trade, row, "lt_price",
+                        Value(20.0 + double(rng.uniform(10000)) / 100));
+            }
+            break;
+          }
+          case TxnType::MarketWatch: {
+            for (int i = 0; ok && i < 20; ++i) {
+                const int64_t sec = int64_t(sec_zipf(rng));
+                ok = co_await tx.seekRow(last_trade, "lt_s_id", sec,
+                                         LockMode::S, &row);
+            }
+            break;
+          }
+          case TxnType::SecurityDetail: {
+            const int64_t sec = int64_t(sec_zipf(rng));
+            ok = co_await tx.seekRow(security, "s_id", sec,
+                                     LockMode::S, &row);
+            if (ok)
+                ok = co_await tx.seekRow(last_trade, "lt_s_id", sec,
+                                         LockMode::S, &row);
+            break;
+          }
+          case TxnType::BrokerVolume: {
+            co_await tx.scanIndexRange(broker, "b_id", 0,
+                                       int64_t(sc.brokers), 40);
+            break;
+          }
         }
-    }
+        co_return ok;
+    };
+    co_await oltpSession(run, rng, pickTxn, attempt);
 }
 
 } // namespace tpce

@@ -14,6 +14,7 @@
 #include "core/backoff.h"
 #include "core/random.h"
 #include "engine/sim_run.h"
+#include "engine/txn_ctx.h"
 
 namespace dbsens {
 
@@ -74,6 +75,52 @@ victimRetryBackoff(Rng &rng, int attempt)
 {
     return cappedExpBackoff(kTxnRetryBackoffBase, kTxnRetryBackoffCap,
                             attempt, rng);
+}
+
+/**
+ * One OLTP client session loop, shared by the transactional
+ * workloads. Each pass first clears resilience admission: at the
+ * admission rung a transaction is deferred (not dropped) with a
+ * deterministic capped-exponential backoff, and OLTP-priority
+ * bypasses the bucket. It then draws one op with `pick(rng)` and runs
+ * `attempt(tx, op)` (a `Task<bool>`; false on a lock timeout or an
+ * absent key) in a fresh transaction. A failed attempt is retried up
+ * to `txnRetryLimit` times with capped exponential backoff before the
+ * session gives up on it. `attempt` draws from the same `rng`, so the
+ * draw order per pass is pick, attempt, backoff.
+ */
+template <typename Pick, typename Attempt>
+Task<void>
+oltpSession(SimRun &run, Rng &rng, Pick pick, Attempt attempt)
+{
+    int admit_streak = 0;
+    while (run.running()) {
+        if (run.resil && !run.resil->admitWork(kTenantOltp)) {
+            co_await SimDelay(
+                run.loop, run.resil->admitRetryDelay(++admit_streak));
+            continue;
+        }
+        admit_streak = 0;
+        const auto op = pick(rng);
+        for (int n = 0;; ++n) {
+            TxnCtx tx(run, run.allocTxnId());
+            if (co_await attempt(tx, op)) {
+                co_await tx.commit();
+                break;
+            }
+            co_await tx.rollback();
+            if (n < run.config().txnRetryLimit) {
+                ++run.txnsRetried;
+                co_await SimDelay(run.loop,
+                                  victimRetryBackoff(rng, n + 1));
+                continue;
+            }
+            if (run.config().txnRetryLimit > 0)
+                ++run.txnsGivenUp;
+            co_await SimDelay(run.loop, retryBackoff(rng));
+            break;
+        }
+    }
 }
 
 } // namespace dbsens

@@ -106,10 +106,6 @@ TEST(Cluster, CrossShardCommitMovesBalanceOnce)
 TEST(Cluster, CoordinatorCrashBeforeDecisionLogAborts)
 {
     ClusterConfig cfg = quietConfig();
-    // A long first vote-collection slice leaves a wide window where
-    // the vote has arrived but no decision has been made.
-    cfg.prepareBackoffBase = milliseconds(8);
-    cfg.prepareBackoffCap = milliseconds(8);
     Fleet fleet(cfg);
     fleet.node(0).boot();
     fleet.node(1).boot();
@@ -155,7 +151,6 @@ TEST(Cluster, CoordinatorCrashBeforeDecisionLogAborts)
 TEST(Cluster, ParticipantCrashAfterPrepareHeldInDoubt)
 {
     ClusterConfig cfg = quietConfig();
-    cfg.restartDelay = milliseconds(1);
     Fleet fleet(cfg);
     fleet.node(0).boot();
     fleet.node(1).boot();
@@ -172,7 +167,7 @@ TEST(Cluster, ParticipantCrashAfterPrepareHeldInDoubt)
         milliseconds(20));
     ASSERT_EQ(fleet.node(1).stats().prepares, 1u);
     fleet.node(1).crash();
-    fleet.loop().runUntil(fleet.loop().now() + cfg.restartDelay);
+    fleet.loop().runUntil(fleet.loop().now() + milliseconds(1));
     fleet.node(1).restart();
 
     runUntil(
@@ -271,9 +266,6 @@ TEST(Cluster, PrepareTimeoutUnderTotalLossAborts)
 {
     ClusterConfig cfg = quietConfig();
     cfg.net.lossRate = 1.0; // self-sends bypass the loss draw
-    cfg.prepareAttempts = 3;
-    cfg.prepareBackoffBase = microseconds(200);
-    cfg.prepareBackoffCap = microseconds(400);
     Fleet fleet(cfg);
     fleet.node(0).boot();
     fleet.node(1).boot();

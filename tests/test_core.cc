@@ -166,20 +166,6 @@ TEST(Distribution, CdfSeriesIsMonotonic)
     }
 }
 
-TEST(Histogram, BucketsAndClamping)
-{
-    Histogram h(0, 10, 10);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(-3);  // clamps to first bucket
-    h.add(100); // clamps to last bucket
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(9), 2u);
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.bucketLow(9), 9.0);
-}
-
 TEST(TablePrinter, AlignedOutput)
 {
     TablePrinter t({"name", "value"});

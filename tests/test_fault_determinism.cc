@@ -327,15 +327,15 @@ TEST(FaultInjection, SsdRetryBudgetExhaustsDeterministically)
     FaultConfig fc;
     fc.enabled = true;
     fc.ssdErrorRate = 1.0; // every attempt fails
-    fc.maxIoRetries = 2;
     FaultInjector inj(fc);
     ssd.setFaultInjector(&inj);
     auto reader = [&]() -> Task<void> { co_await ssd.read(4096); };
     loop.spawn(reader());
     loop.run();
-    // Initial attempt + 2 retries each draw an error; then give up.
-    EXPECT_EQ(inj.counters().ssdErrors, 3u);
-    EXPECT_EQ(inj.counters().ssdRetries, 2u);
+    // The initial attempt and every retry draw an error; then give up.
+    static_assert(SsdModel::kMaxIoRetries == 5);
+    EXPECT_EQ(inj.counters().ssdErrors, 6u);
+    EXPECT_EQ(inj.counters().ssdRetries, 5u);
     EXPECT_EQ(inj.counters().ssdExhausted, 1u);
     EXPECT_EQ(inj.counters().ssdRecovered, 0u);
 }

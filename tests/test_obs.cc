@@ -268,42 +268,33 @@ TEST(RingSeries, LevelMergesByMean)
 
 // ------------------------------------------------------- SloTracker
 
-TEST(SloTracker, FlagsP99CeilingAndThroughputFloor)
+TEST(SloTracker, FlagsP99Ceiling)
 {
     SloTracker slo;
     SloSpec spec;
-    spec.p99LatencyMs = 1.0;     // 1 ms ceiling
-    spec.throughputFloor = 10.0; // >= 10 completions/s
+    spec.p99LatencyMs = 1.0; // 1 ms ceiling
     slo.setSpec(0, spec);
 
-    // Tick 1: fast and plentiful — no violations.
+    // Tick 1: fast — no violations.
     for (int i = 0; i < 100; ++i)
         slo.recordLatency(0, 0.5e6); // 0.5 ms
-    EXPECT_EQ(slo.evaluate(seconds(1), double(seconds(1))), 0u);
+    EXPECT_EQ(slo.evaluate(seconds(1)), 0u);
 
     // Tick 2: slow p99.
     for (int i = 0; i < 100; ++i)
         slo.recordLatency(0, i < 95 ? 0.5e6 : 5e6);
-    EXPECT_EQ(slo.evaluate(seconds(2), double(seconds(1))), 1u);
+    EXPECT_EQ(slo.evaluate(seconds(2)), 1u);
     ASSERT_EQ(slo.violations().size(), 1u);
     EXPECT_STREQ(slo.violations()[0].metric, "p99_latency_ms");
     EXPECT_GT(slo.violations()[0].value, 1.0);
     EXPECT_DOUBLE_EQ(slo.violations()[0].limit, 1.0);
-
-    // Tick 3: only 2 completions in a second — floor violated.
-    slo.recordLatency(0, 0.5e6);
-    slo.recordLatency(0, 0.5e6);
-    EXPECT_EQ(slo.evaluate(seconds(3), double(seconds(1))), 1u);
-    ASSERT_EQ(slo.violations().size(), 2u);
-    EXPECT_STREQ(slo.violations()[1].metric, "throughput_per_s");
-    EXPECT_DOUBLE_EQ(slo.violations()[1].value, 2.0);
 
     // Unconfigured tenant never violates, even with awful latency;
     // tenant 0 stays healthy this tick.
     for (int i = 0; i < 100; ++i)
         slo.recordLatency(0, 0.5e6);
     slo.recordLatency(1, 1e9);
-    EXPECT_EQ(slo.evaluate(seconds(4), double(seconds(1))), 0u);
+    EXPECT_EQ(slo.evaluate(seconds(3)), 0u);
 }
 
 // ------------------------------------------------------- end-to-end

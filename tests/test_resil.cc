@@ -79,21 +79,16 @@ TEST(Backoff, ExpBackoffEscalatesToCapAndResets)
 
 // ------------------------------------------------- IncidentDetector
 
-resil::ResilConfig
-detectorConfig()
-{
-    resil::ResilConfig cfg;
-    cfg.enterPressure = 1.0;
-    cfg.enterTicks = 2;
-    cfg.exitPressure = 0.25;
-    cfg.exitTicks = 4;
-    return cfg;
-}
+// The thresholds are fixed: enter at pressure >= 1.0 for 2 ticks,
+// exit at <= 0.25 for 4 ticks.
+static_assert(resil::IncidentDetector::kEnterPressure == 1.0);
+static_assert(resil::IncidentDetector::kEnterTicks == 2);
+static_assert(resil::IncidentDetector::kExitPressure == 0.25);
+static_assert(resil::IncidentDetector::kExitTicks == 4);
 
 TEST(IncidentDetector, EntryNeedsConsecutiveHotTicks)
 {
-    const resil::ResilConfig cfg = detectorConfig();
-    resil::IncidentDetector det(cfg);
+    resil::IncidentDetector det;
     using Edge = resil::IncidentDetector::Edge;
     // One hot tick, then calm: the streak resets, no incident.
     EXPECT_EQ(det.observe(1, 2.0, resil::kCauseBrownout), Edge::None);
@@ -112,8 +107,7 @@ TEST(IncidentDetector, EntryNeedsConsecutiveHotTicks)
 
 TEST(IncidentDetector, BoundaryOscillationNeverFlaps)
 {
-    const resil::ResilConfig cfg = detectorConfig();
-    resil::IncidentDetector det(cfg);
+    resil::IncidentDetector det;
     using Edge = resil::IncidentDetector::Edge;
     // Alternating hot/calm while inactive: neither streak completes.
     for (SimTime t = 1; t <= 40; ++t)
@@ -133,8 +127,7 @@ TEST(IncidentDetector, BoundaryOscillationNeverFlaps)
 
 TEST(IncidentDetector, ExitNeedsCalmStreakAndMidBandHolds)
 {
-    const resil::ResilConfig cfg = detectorConfig();
-    resil::IncidentDetector det(cfg);
+    resil::IncidentDetector det;
     using Edge = resil::IncidentDetector::Edge;
     det.observe(1, 2.0, 0);
     EXPECT_EQ(det.observe(2, 2.0, 0), Edge::Enter);
@@ -160,21 +153,16 @@ TEST(IncidentDetector, ExitNeedsCalmStreakAndMidBandHolds)
 
 // ------------------------------------------------ DegradationLadder
 
-resil::ResilConfig
-ladderConfig()
-{
-    resil::ResilConfig cfg;
-    cfg.escalateTicks = 2;
-    cfg.holdTicks = 3;
-    cfg.holdShiftCap = 2; // holds: 3, 6, 12 (cap)
-    cfg.strikeResetTicks = 8;
-    return cfg;
-}
+// Fixed ladder timing: 2 hot ticks per rung, holds 6, 12, 24, 48
+// (cap), and 64 quiet ticks at rung 0 forgive every rung.
+static_assert(resil::DegradationLadder::kEscalateTicks == 2);
+static_assert(resil::DegradationLadder::kHoldTicks == 6);
+static_assert(resil::DegradationLadder::kHoldShiftCap == 3);
+static_assert(resil::DegradationLadder::kStrikeResetTicks == 64);
 
 TEST(DegradationLadder, ClimbsOneRungAtATimeInOrder)
 {
-    const resil::ResilConfig cfg = ladderConfig();
-    resil::DegradationLadder lad(cfg);
+    resil::DegradationLadder lad;
     std::vector<int> moves;
     for (int i = 0; i < 10; ++i) {
         const int m = lad.update(/*incident=*/true, /*hot=*/true);
@@ -193,8 +181,7 @@ TEST(DegradationLadder, ClimbsOneRungAtATimeInOrder)
 
 TEST(DegradationLadder, MidBandHoldsPosition)
 {
-    const resil::ResilConfig cfg = ladderConfig();
-    resil::DegradationLadder lad(cfg);
+    resil::DegradationLadder lad;
     lad.update(true, true);
     lad.update(true, true); // rung 1
     ASSERT_EQ(lad.rung(), 1);
@@ -206,38 +193,30 @@ TEST(DegradationLadder, MidBandHoldsPosition)
 
 TEST(DegradationLadder, StepsDownAfterHoldWithBackoff)
 {
-    const resil::ResilConfig cfg = ladderConfig();
-    resil::DegradationLadder lad(cfg);
-    auto engage = [&] {
+    resil::DegradationLadder lad;
+    // Engage rung 1, then count the calm ticks until it releases.
+    auto hold_of_next_engagement = [&] {
         lad.update(true, true);
         lad.update(true, true);
+        EXPECT_EQ(lad.rung(), 1);
+        for (int i = 1; i <= 100; ++i)
+            if (lad.update(false, false) == 0)
+                return i;
+        return -1;
     };
-    // First engagement of rung 1: hold is the base (3 calm ticks).
-    engage();
-    ASSERT_EQ(lad.rung(), 1);
-    EXPECT_EQ(lad.update(false, false), -1);
-    EXPECT_EQ(lad.update(false, false), -1);
-    EXPECT_EQ(lad.update(false, false), 0); // released after 3
+    // First engagement: the hold is the base; each re-engagement
+    // doubles it up to the cap.
+    EXPECT_EQ(hold_of_next_engagement(), 6);
     EXPECT_EQ(lad.deescalations(), 1);
-
-    // Second engagement: the hold doubled to 6.
-    engage();
-    ASSERT_EQ(lad.rung(), 1);
-    int down_at = -1;
-    for (int i = 1; i <= 10 && down_at < 0; ++i)
-        if (lad.update(false, false) == 0)
-            down_at = i;
-    EXPECT_EQ(down_at, 6);
+    EXPECT_EQ(hold_of_next_engagement(), 12);
+    EXPECT_EQ(hold_of_next_engagement(), 24);
+    EXPECT_EQ(hold_of_next_engagement(), 48);
+    EXPECT_EQ(hold_of_next_engagement(), 48); // capped
 
     // A quiet spell at rung 0 resets the strike backoff to base.
-    for (int i = 0; i < cfg.strikeResetTicks; ++i)
+    for (int i = 0; i < resil::DegradationLadder::kStrikeResetTicks; ++i)
         lad.update(false, false);
-    engage();
-    down_at = -1;
-    for (int i = 1; i <= 10 && down_at < 0; ++i)
-        if (lad.update(false, false) == 0)
-            down_at = i;
-    EXPECT_EQ(down_at, 3);
+    EXPECT_EQ(hold_of_next_engagement(), 6);
 }
 
 // ----------------------------------------------------- TokenBucket
@@ -290,7 +269,6 @@ TEST(FreezeGuard, FreezeRollsBackInFlightTrialAndHolds)
     ResourceArbiter arb(totals);
     TuneConfig cfg;
     cfg.enabled = true;
-    cfg.baselineEpochs = 2;
     cfg.hysteresis = 0.02;
     const KnobState base = arb.evenSplit();
 
@@ -305,7 +283,7 @@ TEST(FreezeGuard, FreezeRollsBackInFlightTrialAndHolds)
     bool in_trial = false;
     for (int e = 1; e <= 300 && !in_trial; ++e) {
         m.epoch = e;
-        m.baselineDone = e > cfg.baselineEpochs;
+        m.baselineDone = e > Autopilot::kBaselineEpochs;
         const bool probing =
             guard.phaseLabel().rfind("probe", 0) == 0;
         m.score = probing ? 1.3 : 1.0;

@@ -418,8 +418,6 @@ TEST(SketchHub, HotKeyDetectionFindsTheHeavyHitter)
 {
     SketchConfig cfg;
     cfg.enabled = true;
-    cfg.hotMinTotal = 100;
-    cfg.hotFraction = 0.05;
     SketchHub hub(cfg);
     // Table 1: key 9 gets 40% of 1000 accesses, the rest uniform.
     Rng rng(3);
@@ -435,7 +433,6 @@ TEST(SketchHub, GrantPressureShedsRungsWithQuantifiedCost)
 {
     SketchConfig cfg;
     cfg.enabled = true;
-    cfg.hotWidth = 1024;
     SketchHub hub(cfg);
     for (int i = 0; i < 5000; ++i)
         hub.noteRowAccess(1, uint64_t(i % 300));
@@ -604,7 +601,6 @@ TEST(LatencyGuardrail, TrialLatencySpikeVetoesTheCommit)
     totals.grantBytes = 256u << 20;
     ResourceArbiter arb(totals);
     TuneConfig cfg;
-    cfg.baselineEpochs = 2;
     cfg.hysteresis = 0.01;
     ProbeAndShiftPolicy policy(arb, cfg, arb.evenSplit());
 
@@ -616,7 +612,7 @@ TEST(LatencyGuardrail, TrialLatencySpikeVetoesTheCommit)
     for (int epoch = 1; epoch <= 40; ++epoch) {
         EpochMetrics m;
         m.epoch = epoch;
-        m.baselineDone = epoch >= cfg.baselineEpochs;
+        m.baselineDone = epoch >= Autopilot::kBaselineEpochs;
         m.score = double(state.tenant[0].cores);
         m.latencyMs = state == arb.evenSplit() ? 1.0 : 100.0;
         state = policy.onEpoch(m);
@@ -637,7 +633,6 @@ TEST(LatencyGuardrail, NoLatencyStatMeansNoVeto)
     totals.grantBytes = 256u << 20;
     ResourceArbiter arb(totals);
     TuneConfig cfg;
-    cfg.baselineEpochs = 2;
     cfg.hysteresis = 0.01;
     ProbeAndShiftPolicy policy(arb, cfg, arb.evenSplit());
 
@@ -645,7 +640,7 @@ TEST(LatencyGuardrail, NoLatencyStatMeansNoVeto)
     for (int epoch = 1; epoch <= 40; ++epoch) {
         EpochMetrics m;
         m.epoch = epoch;
-        m.baselineDone = epoch >= cfg.baselineEpochs;
+        m.baselineDone = epoch >= Autopilot::kBaselineEpochs;
         m.score = double(state.tenant[0].cores);
         state = policy.onEpoch(m); // latencyMs stays -1
     }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the hierarchical stats registry (core/stats.h), the
- * JSON document model (core/json.h) and histogram quantiles.
+ * Unit tests for the hierarchical stats registry (core/stats.h) and
+ * the JSON document model (core/json.h).
  */
 
 #include <gtest/gtest.h>
@@ -10,9 +10,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "core/histogram.h"
 #include "core/json.h"
-#include "core/logging.h"
 #include "core/stats.h"
 
 namespace dbsens {
@@ -114,19 +112,6 @@ TEST(Json, NonFiniteNumbersSerializeAsNull)
     EXPECT_NE(text.find("\"nan\":null"), std::string::npos) << text;
 }
 
-TEST(StatsRegistry, CounterRegistrationAndValue)
-{
-    StatsRegistry reg;
-    StatCounter &c = reg.counter("bufferpool.misses", "pool misses");
-    c.inc();
-    c.add(4);
-    EXPECT_TRUE(reg.has("bufferpool.misses"));
-    EXPECT_DOUBLE_EQ(reg.value("bufferpool.misses"), 5.0);
-    // Re-registering the same name returns the same counter.
-    reg.counter("bufferpool.misses").inc();
-    EXPECT_DOUBLE_EQ(c.value(), 6.0);
-}
-
 TEST(StatsRegistry, GaugeReadsLiveState)
 {
     StatsRegistry reg;
@@ -144,108 +129,8 @@ TEST(StatsRegistry, GaugeReadsLiveState)
 TEST(StatsRegistry, UnknownNamePanicsListingRegistered)
 {
     StatsRegistry reg;
-    reg.counter("known.one");
+    reg.gauge("known.one", [] { return 1.0; });
     EXPECT_DEATH((void)reg.value("missing.stat"), "known.one");
-}
-
-// ------------------------------------------- Histogram merge/quantile
-
-TEST(Histogram, EmptyQuantileIsZero)
-{
-    Histogram h(0.0, 100.0, 10);
-    EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
-    EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
-    EXPECT_DOUBLE_EQ(h.quantile(1.0), 0.0);
-}
-
-TEST(Histogram, SingleBucketInterpolatesWithinBounds)
-{
-    Histogram h(0.0, 100.0, 10);
-    // All samples land in bucket [30, 40).
-    for (int i = 0; i < 5; ++i)
-        h.add(35.0);
-    // Every quantile stays inside the occupied bucket's bounds.
-    for (double q : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-        const double v = h.quantile(q);
-        EXPECT_GE(v, 30.0) << "q=" << q;
-        EXPECT_LE(v, 40.0) << "q=" << q;
-    }
-    // Interpolation is monotone in q.
-    EXPECT_LE(h.quantile(0.25), h.quantile(0.75));
-    // A single sample pins every quantile to the bucket's low edge.
-    Histogram one(0.0, 100.0, 10);
-    one.add(35.0);
-    EXPECT_DOUBLE_EQ(one.quantile(0.0), 30.0);
-    EXPECT_DOUBLE_EQ(one.quantile(1.0), 30.0);
-}
-
-TEST(Histogram, OverflowClampsIntoLastBucket)
-{
-    Histogram h(0.0, 100.0, 10);
-    h.add(1e9);   // clamps into [90, 100)
-    h.add(-1e9);  // clamps into [0, 10)
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    // p100 interpolates to the top of the clamp bucket, not beyond.
-    EXPECT_LE(h.quantile(1.0), 100.0);
-    EXPECT_GE(h.quantile(1.0), 90.0);
-    EXPECT_GE(h.quantile(0.0), 0.0);
-    EXPECT_LT(h.quantile(0.0), 10.0);
-}
-
-TEST(Histogram, QuantileTracksDistributionWithinBucketWidth)
-{
-    Histogram h(0.0, 1000.0, 100);
-    Distribution d;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = double((i * 7919) % 1000);
-        h.add(v);
-        d.add(v);
-    }
-    for (double q : {0.1, 0.5, 0.9, 0.99})
-        EXPECT_NEAR(h.quantile(q), d.quantile(q), 10.0) << "q=" << q;
-}
-
-TEST(Histogram, MergeMatchesCombinedStream)
-{
-    Histogram a(0.0, 100.0, 20), b(0.0, 100.0, 20);
-    Histogram both(0.0, 100.0, 20);
-    for (int i = 0; i < 50; ++i) {
-        const double va = double((i * 13) % 100);
-        const double vb = double((i * 31) % 100);
-        a.add(va);
-        b.add(vb);
-        both.add(va);
-        both.add(vb);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.total(), both.total());
-    for (size_t i = 0; i < a.buckets(); ++i)
-        EXPECT_EQ(a.bucketCount(i), both.bucketCount(i)) << i;
-    for (double q : {0.1, 0.5, 0.9})
-        EXPECT_DOUBLE_EQ(a.quantile(q), both.quantile(q)) << q;
-}
-
-TEST(Histogram, MergeEmptyIsIdentity)
-{
-    Histogram a(0.0, 10.0, 5), empty(0.0, 10.0, 5);
-    a.add(3.0);
-    a.merge(empty);
-    EXPECT_EQ(a.total(), 1u);
-    Histogram b(0.0, 10.0, 5);
-    b.merge(a);
-    EXPECT_EQ(b.total(), 1u);
-    EXPECT_DOUBLE_EQ(b.quantile(0.5), a.quantile(0.5));
-}
-
-TEST(StatsRegistry, GlobalRegistryCountsLogWarnings)
-{
-    StatsRegistry &g = globalStats();
-    const double before = g.has("log.warn_count")
-                              ? g.value("log.warn_count")
-                              : 0.0;
-    warn("test_stats warning");
-    EXPECT_DOUBLE_EQ(g.value("log.warn_count"), before + 1.0);
 }
 
 } // namespace

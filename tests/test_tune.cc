@@ -229,7 +229,6 @@ TEST(ProbeAndShiftPolicy, ClimbsTowardTheSyntheticOptimum)
 {
     ResourceArbiter arb(fullMachine());
     TuneConfig cfg;
-    cfg.baselineEpochs = 2;
     cfg.hysteresis = 0.01;
     ProbeAndShiftPolicy policy(arb, cfg, arb.evenSplit());
 
@@ -237,7 +236,7 @@ TEST(ProbeAndShiftPolicy, ClimbsTowardTheSyntheticOptimum)
     for (int epoch = 1; epoch <= 40; ++epoch) {
         EpochMetrics m;
         m.epoch = epoch;
-        m.baselineDone = epoch >= cfg.baselineEpochs;
+        m.baselineDone = epoch >= Autopilot::kBaselineEpochs;
         m.score = coreScore(state);
         state = policy.onEpoch(m);
     }
@@ -252,7 +251,6 @@ TEST(ProbeAndShiftPolicy, RollsBackWhenNothingHelps)
 {
     ResourceArbiter arb(fullMachine());
     TuneConfig cfg;
-    cfg.baselineEpochs = 2;
     ProbeAndShiftPolicy policy(arb, cfg, arb.evenSplit());
 
     // Flat score: no move clears the hysteresis margin, so the base
@@ -261,7 +259,7 @@ TEST(ProbeAndShiftPolicy, RollsBackWhenNothingHelps)
     for (int epoch = 1; epoch <= 30; ++epoch) {
         EpochMetrics m;
         m.epoch = epoch;
-        m.baselineDone = epoch >= cfg.baselineEpochs;
+        m.baselineDone = epoch >= Autopilot::kBaselineEpochs;
         m.score = 100.0;
         state = policy.onEpoch(m);
     }

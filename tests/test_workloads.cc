@@ -183,6 +183,64 @@ TEST(OltpRunnerTest, DeterministicForSeed)
               b.waits.totalNs(WaitClass::Lock));
 }
 
+// Session-loop pins: committed, aborted, retried, given-up and
+// lock-timeout counts of short contended runs, with and without the
+// victim retry budget. The values were captured before the ASDB and
+// TPC-E session loops shared one admission/retry helper; any change
+// to the RNG draw order or the retry path moves them.
+struct SessionCounts
+{
+    uint64_t committed, aborted, retried, givenUp, lockTimeouts;
+
+    bool
+    operator==(const SessionCounts &o) const
+    {
+        return committed == o.committed && aborted == o.aborted &&
+               retried == o.retried && givenUp == o.givenUp &&
+               lockTimeouts == o.lockTimeouts;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const SessionCounts &c)
+{
+    return os << "{" << c.committed << ", " << c.aborted << ", "
+              << c.retried << ", " << c.givenUp << ", "
+              << c.lockTimeouts << "}";
+}
+
+SessionCounts
+sessionCounts(OltpWorkload &wl, int retry_limit)
+{
+    auto db = wl.generate(3);
+    RunConfig cfg = shortRun(4);
+    cfg.duration = milliseconds(40);
+    cfg.lockTimeout = microseconds(200);
+    cfg.txnRetryLimit = retry_limit;
+    SimRun run(*db, cfg);
+    run.startSampling(1.0);
+    wl.startSessions(run, *db, 11);
+    run.runToCompletion();
+    return {run.txnsCommitted, run.txnsAborted, run.txnsRetried,
+            run.txnsGivenUp, run.locks.timeouts()};
+}
+
+TEST(OltpSessionPin, AsdbCountsAtRetryLimits)
+{
+    asdb::AsdbWorkload wl0(5, 64);
+    EXPECT_EQ(sessionCounts(wl0, 0), (SessionCounts{347, 56, 0, 0, 56}));
+    asdb::AsdbWorkload wl3(5, 64);
+    EXPECT_EQ(sessionCounts(wl3, 3), (SessionCounts{350, 76, 74, 2, 76}));
+}
+
+TEST(OltpSessionPin, TpceCountsAtRetryLimits)
+{
+    tpce::TpceWorkload wl0(100, 64);
+    EXPECT_EQ(sessionCounts(wl0, 0), (SessionCounts{100, 31, 0, 0, 31}));
+    tpce::TpceWorkload wl3(100, 64);
+    EXPECT_EQ(sessionCounts(wl3, 3), (SessionCounts{93, 79, 66, 13, 79}));
+}
+
 TEST(TpchDriverTest, StreamsRunAndScaleWithCores)
 {
     TpchDriver driver(2);

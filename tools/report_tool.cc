@@ -30,6 +30,12 @@
  *       fields). Exit is nonzero when any regression was found, so
  *       CI can gate on it and upload the printed diff as an
  *       artifact.
+ *
+ *   report_tool digest <report.json>
+ *       Print the FNV-1a digest (core/digest.h) of the report's
+ *       compact `results` dump as 16 hex digits. Results hold only
+ *       simulated values, so the digest is host-independent;
+ *       run_benches.sh pins one per --small bench.
  */
 
 #include <algorithm>
@@ -40,6 +46,7 @@
 #include <string>
 #include <vector>
 
+#include "core/digest.h"
 #include "core/json.h"
 
 namespace {
@@ -344,6 +351,27 @@ cmdCheck(int argc, char **argv)
     return 0;
 }
 
+int
+cmdDigest(int argc, char **argv)
+{
+    if (argc != 1) {
+        std::fprintf(stderr, "usage: report_tool digest <report.json>\n");
+        return 2;
+    }
+    Json doc;
+    if (!loadJson(argv[0], &doc))
+        return 1;
+    if (!doc.contains("results")) {
+        std::fprintf(stderr, "report_tool: %s has no results\n", argv[0]);
+        return 1;
+    }
+    const std::string dump = doc.at("results").dump();
+    std::printf("%s\n",
+                dbsens::digestHex(dbsens::fnv1a(dump.data(), dump.size()))
+                    .c_str());
+    return 0;
+}
+
 } // namespace
 
 int
@@ -351,7 +379,7 @@ main(int argc, char **argv)
 {
     if (argc < 2) {
         std::fprintf(stderr,
-                     "usage: report_tool <merge|check|diff> ...\n");
+                     "usage: report_tool <merge|check|diff|digest> ...\n");
         return 2;
     }
     if (std::strcmp(argv[1], "merge") == 0)
@@ -360,6 +388,8 @@ main(int argc, char **argv)
         return cmdCheck(argc - 2, argv + 2);
     if (std::strcmp(argv[1], "diff") == 0)
         return cmdDiff(argc - 2, argv + 2);
+    if (std::strcmp(argv[1], "digest") == 0)
+        return cmdDigest(argc - 2, argv + 2);
     std::fprintf(stderr, "report_tool: unknown command '%s'\n",
                  argv[1]);
     return 2;
