@@ -11,6 +11,10 @@
 #                                 BENCH_report.json (+ reports/*.json)
 #   ./run_benches.sh full <bench> one bench at full scale
 #                                 -> reports/<bench>.json
+#   ./run_benches.sh check <bench> <report.json>
+#                                 check a report (path from the repo
+#                                 root) against the bench's schema
+#                                 golden and digest (CI, table3)
 #   ./run_benches.sh wallclock    host wall-clock bench
 #                                 -> BENCH_wallclock.json
 #
@@ -25,13 +29,14 @@ cd "$(dirname "$0")"
 
 # One row per bench: name, whether it has a --small scale, the schema
 # golden its --json report is checked against (- for none), and the
-# `report_tool digest` of its --small report's results (- for none).
+# `report_tool digest` of its report's results at the scale CI runs it,
+# --small where the bench has one (- for none).
 # The results are simulated values only, so a digest moves exactly when
 # simulated output changes; a change that means to move it updates the
 # digest here in the same commit.
 BENCHES="\
 bench_table2_sizes          no  -                                       -
-bench_table3_waits          no  tests/golden/report_schema.json         -
+bench_table3_waits          no  tests/golden/report_schema.json         216fbb8f69572e46
 bench_fig2_cores_cache      no  -                                       -
 bench_table4_sufficient_llc no  -                                       -
 bench_fig3_bandwidth        no  -                                       -
@@ -73,18 +78,23 @@ run() {
     fi
     [ -n "$digest" ] || return
     reports="$reports reports/$b.json"
+    check "$b" "reports/$b.json" "$schema" "$digest"
+}
+
+# check <bench> <report> <schema> <digest>: check a report against its
+# schema golden and results digest (- skips either).
+check() {
+    local b=$1 report=$2 schema=$3 digest=$4
     if [ "$schema" != - ]; then
-        build/tools/report_tool check "reports/$b.json" "$schema" \
-            || fail "$b"
+        build/tools/report_tool check "$report" "$schema" || fail "$b"
     fi
     if [ "$digest" != - ]; then
         local got
-        got=$(build/tools/report_tool digest "reports/$b.json")
+        got=$(build/tools/report_tool digest "$report")
         if [ "$got" = "$digest" ]; then
-            echo "reports/$b.json results digest $got matches"
+            echo "$report results digest $got matches"
         else
-            echo "reports/$b.json results digest $got," \
-                 "expected $digest" >&2
+            echo "$report results digest $got, expected $digest" >&2
             fail "$b"
         fi
     fi
@@ -132,13 +142,23 @@ case "$mode" in
     read -r b _ schema _ <<< "$row"
     run "$b" no "$schema" -
     ;;
+  check)
+    row=$(grep -E "^${2:-} " <<< "$BENCHES")
+    if [ -z "${2:-}" ] || [ -z "$row" ] || [ -z "${3:-}" ]; then
+        echo "usage: $0 check <bench> <report.json>" >&2
+        exit 2
+    fi
+    read -r b _ schema digest <<< "$row"
+    check "$b" "$3" "$schema" "$digest"
+    ;;
   wallclock)
     build/bench/bench_wallclock > BENCH_wallclock.json \
         || fail bench_wallclock
     cat BENCH_wallclock.json
     ;;
   *)
-    echo "usage: $0 [small | report | full <bench> | wallclock]" >&2
+    echo "usage: $0 [small | report | full <bench> |" \
+         "check <bench> <report.json> | wallclock]" >&2
     exit 2
     ;;
 esac

@@ -171,6 +171,7 @@ Database::table(const std::string &name)
 void
 Database::bindPool(BufferPool &pool)
 {
+    pool.reserveObjects(nextPage_, registry_.size());
     for (const auto &p : registry_)
         pool.registerObject(p.id, p.bytes);
     activePool_ = &pool;

@@ -1,5 +1,8 @@
 #include "hw/llc_sim.h"
 
+#include <algorithm>
+#include <vector>
+
 #include "core/logging.h"
 #include "core/worker_pool.h"
 #include "hw/cache_feed.h"
@@ -8,8 +11,11 @@ namespace dbsens {
 
 LlcSim::LlcSim()
 {
+    // Way is an implicit-lifetime aggregate: access() assigns a row's
+    // ways before it first reads them.
     for (auto &s : sockets_)
-        s.ways.assign(size_t(kSets) * kWays, Way{});
+        s.ways.reset(static_cast<Way *>(
+            ::operator new(sizeof(Way) * size_t(kSets) * kWays)));
 }
 
 void
@@ -56,9 +62,15 @@ LlcSim::access(int socket, uint64_t addr, int cos)
     auto &cache = sockets_[socket & 1];
     const uint64_t line = addr / kCacheLineSize;
     const auto set = size_t(line % kSets);
+    Way *row = &cache.ways[set * kWays];
+    if (!cache.live[set]) {
+        // First touch of this row since construction or reset().
+        std::fill_n(row, kWays, Way{});
+        cache.live[set] = true;
+    }
     // Hit check across *all* ways: CAT restricts allocation, not
     // lookup. A miss fills into the oldest way allowed for this COS.
-    if (accessRow(&cache.ways[set * kWays], kWays,
+    if (accessRow(row, kWays,
                   cosMask_[cos & (kMaxCos - 1)], line / kSets,
                   int64_t(clock_)))
         return true;
@@ -138,7 +150,7 @@ void
 LlcSim::reset()
 {
     for (auto &s : sockets_)
-        s.ways.assign(size_t(kSets) * kWays, Way{});
+        s.live.reset();
     clock_ = 0;
     accesses_ = 0;
     misses_ = 0;

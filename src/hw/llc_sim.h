@@ -9,13 +9,19 @@
  * semantics (paper Section 5). The paper assigns all cores one COS and
  * splits the allocation equally between sockets, so the simulator
  * exposes a single mask applied to both sockets.
+ *
+ * Rows are emptied lazily: each (socket, set) row has a bit that says
+ * whether it was emptied since construction or the last reset(), and
+ * reset() just clears the bits. A run thus pays only for the rows it
+ * touches, not for a 10.5 MB fill.
  */
 
 #ifndef DBSENS_HW_LLC_SIM_H
 #define DBSENS_HW_LLC_SIM_H
 
+#include <bitset>
 #include <cstdint>
-#include <vector>
+#include <memory>
 
 #include "core/calibration.h"
 #include "core/types.h"
@@ -134,9 +140,18 @@ class LlcSim
     }
 
   private:
+    /** Frees raw storage whose rows are constructed on first touch. */
+    struct RawDelete
+    {
+        void operator()(Way *p) const { ::operator delete(p); }
+    };
+
     struct SocketCache
     {
-        std::vector<Way> ways; // kSets * kWays, row-major by set
+        /** kSets * kWays, row-major by set; a row is valid only when
+         * its `live` bit is set. */
+        std::unique_ptr<Way[], RawDelete> ways;
+        std::bitset<kSets> live;
     };
 
     SocketCache sockets_[calib::kSockets];

@@ -80,10 +80,11 @@ BTree::findLeaf(int64_t key, RowId row, std::vector<PageId> *touched) const
 void
 BTree::insert(int64_t key, RowId row, std::vector<PageId> *touched)
 {
-    std::vector<Node *> path;
+    Node *path[kMaxHeight];
+    int depth = 0;
     Node *n = root_;
     while (!n->leaf) {
-        path.push_back(n);
+        path[depth++] = n;
         if (touched)
             touched->push_back(n->page);
         const auto it =
@@ -117,14 +118,16 @@ BTree::insert(int64_t key, RowId row, std::vector<PageId> *touched)
     n->next = right;
     if (touched)
         touched->push_back(right->page);
-    insertInner(path, n, right->keys.front(), right);
+    insertInner(path, depth, n, right->keys.front(), right);
 }
 
 void
-BTree::insertInner(std::vector<Node *> &path, Node *left, int64_t sep,
+BTree::insertInner(Node **path, int depth, Node *left, int64_t sep,
                    Node *right)
 {
-    if (path.empty()) {
+    if (depth == 0) {
+        if (height_ == kMaxHeight)
+            panic("B-tree height exceeds kMaxHeight");
         Node *new_root = makeNode(false);
         new_root->keys.push_back(sep);
         new_root->kids.push_back(left);
@@ -133,8 +136,7 @@ BTree::insertInner(std::vector<Node *> &path, Node *left, int64_t sep,
         ++height_;
         return;
     }
-    Node *parent = path.back();
-    path.pop_back();
+    Node *parent = path[--depth];
     const auto it =
         std::upper_bound(parent->keys.begin(), parent->keys.end(), sep);
     const size_t pos = size_t(it - parent->keys.begin());
@@ -153,7 +155,7 @@ BTree::insertInner(std::vector<Node *> &path, Node *left, int64_t sep,
                        parent->kids.end());
     parent->keys.resize(mid);
     parent->kids.resize(mid + 1);
-    insertInner(path, parent, up, rnode);
+    insertInner(path, depth, parent, up, rnode);
 }
 
 bool

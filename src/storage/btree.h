@@ -45,6 +45,14 @@ class BTree
     static constexpr size_t kInnerCap = 256;
 
     /**
+     * Height bound for insert()'s on-stack descent path. Erases never
+     * shrink inner nodes and a split leaves each half at least 128
+     * keys, so a tree of height h took more than 129^(h-2) leaf splits:
+     * 2^64 inserts stay below height 11.
+     */
+    static constexpr int kMaxHeight = 16;
+
+    /**
      * @param page_alloc allocator registering node pages with the
      *        buffer pool (may be a plain counter in tests).
      * @param region full-scale virtual region for cache modelling
@@ -118,7 +126,9 @@ class BTree
     Node *findLeaf(int64_t key, RowId row,
                    std::vector<PageId> *touched) const;
 
-    void insertInner(std::vector<Node *> &path, Node *left, int64_t sep,
+    /** Insert separator `sep` into path[depth - 1] (a new root when
+     * depth is 0), splitting upward as needed. */
+    void insertInner(Node **path, int depth, Node *left, int64_t sep,
                      Node *right);
 
     PageAllocator pageAlloc_;

@@ -16,6 +16,14 @@
  *    outside the DES. It evolves residency identically and returns
  *    the read/write bytes the access generated so the profile can
  *    replay the I/O later.
+ *
+ * Objects live in a dense table indexed by PageId (the database hands
+ * out dense ids from 1). Residency is an intrusive doubly-linked LRU
+ * threaded through the table, so a touch is a splice. Resident dirty
+ * objects are threaded on a second list whose order always equals
+ * their LRU order, so flushDirty() visits only dirty objects yet
+ * flushes exactly the ones, in exactly the order, a walk of the whole
+ * LRU would.
  */
 
 #ifndef DBSENS_STORAGE_BUFFER_POOL_H
@@ -23,9 +31,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.h"
@@ -72,6 +77,14 @@ class BufferPool
 
     /** Torn pages detected (checksum mismatches on load). */
     uint64_t tornPagesDetected() const { return tornDetected_; }
+
+    /**
+     * Size the object table for ids below `id_end` (rounded up to a
+     * whole table step) and the registration list for `count` objects,
+     * in one allocation each (Database::bindPool, before registering
+     * its pages).
+     */
+    void reserveObjects(PageId id_end, size_t count);
 
     /** Declare a storage object (page or segment). Starts on disk. */
     void registerObject(PageId id, uint64_t bytes);
@@ -134,30 +147,58 @@ class BufferPool
                        const std::string &prefix) const;
 
   private:
+    /** Null link / empty list end in the intrusive lists. */
+    static constexpr uint32_t kNil = ~uint32_t{0};
+
+    /** A session parked on an in-flight load (buffer_pool.cc). */
+    class LoadWait;
+
+    struct Links
+    {
+        uint32_t prev = kNil;
+        uint32_t next = kNil;
+    };
+
+    struct List
+    {
+        uint32_t head = kNil; ///< LRU end
+        uint32_t tail = kNil; ///< MRU end
+    };
+
     struct Object
     {
         uint64_t bytes = 0;
-        bool resident = false;
-        bool dirty = false;
-        bool loading = false;
         /** Logical modification count (bumped by markDirty). */
         uint64_t version = 0;
         /** Checksum of the last consistent image. */
         uint64_t checksum = 0;
-        std::list<PageId>::iterator lruPos;
-        std::vector<std::coroutine_handle<>> loadWaiters;
+        /** Sessions waiting on this object's load, newest first. */
+        LoadWait *waiters = nullptr;
+        Links lruLinks;
+        Links dirtyLinks;
+        bool registered = false;
+        bool resident = false;
+        bool dirty = false;
+        bool loading = false;
     };
+    static_assert(sizeof(Object) <= 56, "one table slot per page");
 
     Object &obj(PageId id);
+    const Object *find(PageId id) const;
 
-    /** Move to MRU position. */
-    void touchLru(PageId id, Object &o);
+    void unlink(List &list, Links Object::*links, uint32_t i);
+    /** Link `i` before `next` (kNil = at the tail). */
+    void linkBefore(List &list, Links Object::*links, uint32_t i,
+                    uint32_t next);
+
+    /** Move to the MRU position (and to the dirty list's tail). */
+    void touchLru(uint32_t i);
 
     /** Evict LRU objects until `needed` bytes fit. Returns writeback
      * bytes generated by evicting dirty objects. */
     uint64_t makeRoom(uint64_t needed);
 
-    void admit(PageId id, Object &o);
+    void admit(uint32_t i);
 
     EventLoop &loop_;
     SsdModel &ssd_;
@@ -165,9 +206,11 @@ class BufferPool
     uint64_t capacity_;
     uint64_t used_ = 0;
     uint64_t dirtyBytes_ = 0;
-    std::unordered_map<PageId, Object> objects_;
+    std::vector<Object> objects_; // indexed by PageId
     std::vector<PageId> registrationOrder_;
-    std::list<PageId> lru_; // front = LRU, back = MRU
+    List lru_;
+    /** Resident dirty objects, in LRU order. */
+    List dirty_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t diskReadBytes_ = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "core/random.h"
 #include "core/worker_pool.h"
@@ -148,6 +149,58 @@ TEST(LlcSim, ResetClearsContents)
     llc.reset();
     EXPECT_FALSE(llc.access(0, 0x9000));
     EXPECT_EQ(llc.accesses(), 1u);
+}
+
+/**
+ * Hit/miss sequence of `n` seeded accesses under `cos`. The lines
+ * crowd 64 sets (set 0 and the last set among them) with 48 tags, so
+ * the stream both hits and evicts at every allocation.
+ */
+std::vector<bool>
+runStream(LlcSim &llc, uint64_t seed, int cos, size_t n = 20000)
+{
+    Rng rng(seed);
+    std::vector<bool> hits;
+    hits.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+        const uint64_t set = rng.uniform(64) * (LlcSim::kSets / 64) +
+                             (rng.uniform(2) ? LlcSim::kSets / 64 - 1 : 0);
+        const uint64_t tag = rng.uniform(48);
+        const uint64_t addr = (tag * uint64_t(LlcSim::kSets) + set) * 64;
+        hits.push_back(llc.access(int(rng.uniform(2)), addr, cos));
+    }
+    return hits;
+}
+
+TEST(LlcSim, ReusedSimulatorMatchesFreshOne)
+{
+    for (int mb = 2; mb <= 40; mb += 2) {
+        const uint32_t mask = (1u << LlcSim::waysForAllocationMb(mb)) - 1;
+        for (int cos = 0; cos < LlcSim::kMaxCos; ++cos) {
+            LlcSim fresh;
+            fresh.setCosWayMask(cos, mask);
+            const std::vector<bool> want = runStream(fresh, 7, cos);
+
+            // Ran a different stream under both COS, then reset().
+            LlcSim reused;
+            runStream(reused, 99, 0);
+            runStream(reused, 98, 1);
+            reused.reset();
+            reused.setCosWayMask(cos, mask);
+            EXPECT_EQ(runStream(reused, 7, cos), want)
+                << mb << " MB, COS " << cos << ", after reset()";
+            EXPECT_EQ(reused.accesses(), fresh.accesses());
+            EXPECT_EQ(reused.misses(), fresh.misses());
+
+            // A different mask before the stream leaves no trace.
+            LlcSim remasked;
+            remasked.setCosWayMask(cos, 0x80001);
+            remasked.setWayMask(0x1);
+            remasked.setCosWayMask(cos, mask);
+            EXPECT_EQ(runStream(remasked, 7, cos), want)
+                << mb << " MB, COS " << cos << ", after a mask change";
+        }
+    }
 }
 
 TEST(VirtualSpace, RegionsAreDisjointAndScaled)
