@@ -71,7 +71,6 @@ main(int argc, char **argv)
         RunConfig cfg = base_cfg();
         cfg.tune.policy = kind;
         cfg.tune.initial = state;
-        cfg.tune.haveInitial = true;
         return runOltpOn(*wl, *db, cfg);
     };
 

@@ -100,7 +100,6 @@ main(int argc, char **argv)
         ResourceArbiter arb(resourceTotals(attr_cfg));
         attr_cfg.tune.policy = TunePolicyKind::Static;
         attr_cfg.tune.initial = arb.evenSplit();
-        attr_cfg.tune.haveInitial = true;
         attr_cfg.obs.enabled = true;
         attr_cfg.obs.sampleEvery = milliseconds(20);
     }

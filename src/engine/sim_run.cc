@@ -269,8 +269,6 @@ SimRun::SimRun(Database &db, const RunConfig &cfg, EventLoop *ext)
             act.latencyStat = "sketch.t0.lat_p99_ms";
         act.running = [this] { return running(); };
         autopilot->registerStats(stats, "tune");
-        if (cfg.resil.enabled)
-            autopilot->installFreezeGuard();
         autopilot->start(std::move(act));
     }
 

@@ -3,10 +3,16 @@
  * Autopilot: the event-loop-driven controller that closes the paper's
  * sensitivity loop online. Every control epoch it reads per-tenant
  * progress deltas from the run's StatsRegistry, forms a weighted
- * throughput score, asks its TuningPolicy for the next KnobState, and
- * actuates the diff through engine-supplied callbacks (core leases,
- * CAT COS masks, grant-pool capacity; the MAXDOP cap is pulled by
- * sessions at plan choice).
+ * throughput score, picks the next KnobState, and actuates the diff
+ * through engine-supplied callbacks (core leases, CAT COS masks,
+ * grant-pool capacity; the MAXDOP cap is pulled by sessions at plan
+ * choice).
+ *
+ * It is the only tuning controller. Under probe-and-shift it consults
+ * a ProbeAndShiftPolicy climber each epoch; the static and oracle
+ * policies hold their initial state for the whole run. While the
+ * resilience controller has tuning change-frozen it holds the state
+ * the climber rolled back to.
  *
  * Determinism rules (DESIGN.md section 11):
  *  - the epoch tick is an ordinary SimDelay event — decisions happen
@@ -26,7 +32,7 @@
 #define DBSENS_TUNE_AUTOPILOT_H
 
 #include <functional>
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "core/digest.h"
@@ -60,8 +66,8 @@ class Autopilot
         /**
          * Tail-latency level stat (e.g. the sketch hub's
          * "sketch.t0.lat_p99_ms"). Empty ⇒ no latency guardrail:
-         * EpochMetrics::latencyMs stays negative and policies ignore
-         * it, preserving pre-sketch trajectories bit-for-bit.
+         * EpochMetrics::latencyMs stays negative and the climber
+         * ignores it, preserving pre-sketch trajectories bit-for-bit.
          */
         std::string latencyStat;
         /** Run-window predicate: tuning stops when it turns false. */
@@ -86,8 +92,8 @@ class Autopilot
               const ResourceTotals &totals, SimDuration start_delay);
 
     /**
-     * Apply the policy's initial state through the actuators and
-     * start the epoch loop. Called once from the SimRun constructor.
+     * Apply the initial state through the actuators and start the
+     * epoch loop. Called once from the SimRun constructor.
      */
     void start(Actuators act);
 
@@ -101,29 +107,23 @@ class Autopilot
         return state_.tenant[tenant].maxdop;
     }
 
-    /** Current grant budget of a tenant. */
-    uint64_t grantBudget(int tenant) const
-    {
-        return state_.tenant[tenant].grantBytes;
-    }
-
     int epochs() const { return epochs_; }
-    double lastScore() const { return lastScore_; }
     uint64_t trajectoryDigest() const { return digest_; }
 
     /**
-     * Wrap the policy in a FreezeGuardPolicy so the resilience
-     * controller can suspend tuning during incidents. Must be called
-     * before start(); idempotent.
+     * Label of the epoch now running, stamped on its trace span:
+     * "frozen" while change-frozen, otherwise the climber's label
+     * ("baseline", "probe:...", "trial:...", "hold"), or "static"
+     * when no climber runs.
      */
-    void installFreezeGuard();
+    std::string phaseLabel() const;
 
     /**
-     * Enter/leave change-freeze (no-op without a guard or when the
-     * state matches). Freezing immediately rolls back any in-flight
-     * trial (the held state is re-applied right away, not at the next
-     * epoch); both edges fold into the trajectory digest and land on
-     * the tune trace track.
+     * Enter/leave change-freeze (no-op when the state matches).
+     * Freezing immediately rolls back any in-flight trial (the held
+     * state is re-applied right away, not at the next epoch); both
+     * edges fold into the trajectory digest and land on the tune
+     * trace track.
      */
     void setFrozen(bool frozen);
 
@@ -151,10 +151,13 @@ class Autopilot
     TuneConfig cfg_;
     SimDuration startDelay_;
     ResourceArbiter arbiter_;
-    std::unique_ptr<TuningPolicy> policy_;
+    /** Engaged only under TunePolicyKind::ProbeAndShift. */
+    std::optional<ProbeAndShiftPolicy> climber_;
     Actuators act_;
     KnobState state_;
-    FreezeGuardPolicy *guard_ = nullptr; ///< owned via policy_
+    /** State applied while frozen or when no climber runs: the
+     * initial state, or what the climber rolled back to on freeze. */
+    KnobState held_;
     bool frozen_ = false;
     int freezes_ = 0;
     bool started_ = false;

@@ -1,29 +1,22 @@
 /**
  * @file
- * TuningPolicy: the decision layer of the autopilot, decoupled from
- * measurement (Autopilot) and resource math (ResourceArbiter) so
- * policies are directly comparable in one bench:
+ * ProbeAndShiftPolicy: the climber the Autopilot consults each control
+ * epoch when the run's policy is probe-and-shift. Sensitivity probing
+ * (one knob at a time) is followed by guardrailed hill-climbing —
+ * trial shifts commit only when the score clears a hysteresis margin,
+ * roll back otherwise, and rolled-back moves cool down before being
+ * retried. The static and oracle policies need no climber: the
+ * Autopilot holds their initial state for the whole run.
  *
- *  - StaticPolicy: hold a fixed KnobState (the naive even split, or
- *    any chosen configuration).
- *  - OraclePolicy: StaticPolicy holding the best state found by an
- *    offline exhaustive sweep — the upper bound the closed loop is
- *    judged against (bench_fig10_autopilot).
- *  - ProbeAndShiftPolicy: sensitivity probing (one knob at a time)
- *    followed by guardrailed hill-climbing — trial shifts commit only
- *    when the score clears a hysteresis margin, roll back otherwise,
- *    and rolled-back moves cool down before being retried.
- *
- * Policies are called once per control epoch with the metrics of the
- * epoch that just ended and return the state to run next. They are
- * pure state machines: deterministic given the metric sequence.
+ * The climber is called once per control epoch with the metrics of
+ * the epoch that just ended and returns the state to run next. It is
+ * a pure state machine: deterministic given the metric sequence.
  */
 
 #ifndef DBSENS_TUNE_POLICY_H
 #define DBSENS_TUNE_POLICY_H
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,112 +39,54 @@ struct EpochMetrics
     /**
      * Tail-latency level (ms) read from Actuators::latencyStat at the
      * epoch boundary; negative when no latency stat is wired, and
-     * policies must then skip the latency guardrail entirely.
+     * the climber then skips the latency guardrail entirely.
      */
     double latencyMs = -1;
 };
 
-/** Per-epoch decision interface. */
-class TuningPolicy
-{
-  public:
-    virtual ~TuningPolicy() = default;
-
-    virtual const char *name() const = 0;
-
-    /**
-     * Decide the knob state for the next epoch, given the metrics of
-     * the epoch that just ended.
-     */
-    virtual KnobState onEpoch(const EpochMetrics &m) = 0;
-
-    /**
-     * Label describing the epoch the last onEpoch()/initialState()
-     * call set up ("baseline", "probe:cores0>1x2", "trial:...",
-     * "hold") — the Autopilot stamps it on the epoch's trace span.
-     */
-    virtual const std::string &phaseLabel() const = 0;
-
-    virtual KnobState initialState() const = 0;
-
-    /**
-     * A change-freeze begins (resilience guardrail): abandon any
-     * in-flight probe or trial and return the state to hold for the
-     * duration of the freeze. Default: the initial state.
-     */
-    virtual KnobState onFreeze() { return initialState(); }
-
-    /**
-     * The freeze lifted. Policies with a probe cadence should re-probe
-     * soon — the incident likely shifted the sensitivity landscape —
-     * and restart any re-probe backoff from its fast setting.
-     */
-    virtual void onUnfreeze() {}
-
-    // Activity counters (zero for static policies).
-    virtual int probes() const { return 0; }
-    virtual int shifts() const { return 0; }
-    virtual int rollbacks() const { return 0; }
-    /** ... of which were forced by the tail-latency guardrail. */
-    virtual int latencyRollbacks() const { return 0; }
-
-    /** Most recent probing pass ranked best-first (empty for
-     * policies that never probe). */
-    virtual std::vector<ProbeResult>
-    rankedProbes() const
-    {
-        return {};
-    }
-};
-
-/** Hold one fixed state forever. */
-class StaticPolicy : public TuningPolicy
-{
-  public:
-    explicit StaticPolicy(KnobState s, const char *name = "static")
-        : state_(s), name_(name)
-    {
-    }
-
-    const char *name() const override { return name_; }
-    KnobState onEpoch(const EpochMetrics &) override { return state_; }
-    const std::string &phaseLabel() const override { return label_; }
-    KnobState initialState() const override { return state_; }
-
-  private:
-    KnobState state_;
-    const char *name_;
-    std::string label_ = "static";
-};
-
-/** StaticPolicy holding an offline-sweep optimum. */
-class OraclePolicy : public StaticPolicy
-{
-  public:
-    explicit OraclePolicy(KnobState s) : StaticPolicy(s, "oracle") {}
-};
-
 /** Probe sensitivities, then guardrailed hill-climbing. */
-class ProbeAndShiftPolicy : public TuningPolicy
+class ProbeAndShiftPolicy
 {
   public:
     ProbeAndShiftPolicy(const ResourceArbiter &arb,
                         const TuneConfig &cfg, KnobState base);
 
-    const char *name() const override { return "probe-and-shift"; }
-    KnobState onEpoch(const EpochMetrics &m) override;
-    const std::string &phaseLabel() const override { return label_; }
-    KnobState initialState() const override { return base_; }
-    KnobState onFreeze() override;
-    void onUnfreeze() override;
+    /**
+     * Decide the knob state for the next epoch, given the metrics of
+     * the epoch that just ended.
+     */
+    KnobState onEpoch(const EpochMetrics &m);
 
-    int probes() const override { return probes_; }
-    int shifts() const override { return shifts_; }
-    int rollbacks() const override { return rollbacks_; }
-    int latencyRollbacks() const override { return latencyRollbacks_; }
+    /**
+     * Label describing the epoch the last onEpoch() call set up
+     * ("baseline", "probe:cores0>1x2", "trial:...", "hold") — the
+     * Autopilot stamps it on the epoch's trace span.
+     */
+    const std::string &phaseLabel() const { return label_; }
 
-    /** Probe results of the most recent probing pass (reporting). */
-    const SensitivityProbe &probe() const { return probe_; }
+    /** The last committed state (the clamped initial state until a
+     * shift commits): what holds, probes and trials start from. */
+    const KnobState &base() const { return base_; }
+
+    /**
+     * A change-freeze begins (resilience guardrail): roll back an
+     * in-flight trial (cooling its move down) or drop a half-finished
+     * probe pass, and return the last committed state to hold.
+     */
+    KnobState onFreeze();
+
+    /**
+     * The freeze lifted: the incident likely shifted the sensitivity
+     * landscape, so restart the re-probe backoff from its fast
+     * setting.
+     */
+    void onUnfreeze();
+
+    int probes() const { return probes_; }
+    int shifts() const { return shifts_; }
+    int rollbacks() const { return rollbacks_; }
+    /** ... of which were forced by the tail-latency guardrail. */
+    int latencyRollbacks() const { return latencyRollbacks_; }
 
     /**
      * Tail-latency guardrail (EpochMetrics::latencyMs, fed from the
@@ -169,7 +104,7 @@ class ProbeAndShiftPolicy : public TuningPolicy
      * across passes is what makes the ranking usable as a
      * sensitivity ground truth (bench_fig11_attribution).
      */
-    std::vector<ProbeResult> rankedProbes() const override;
+    std::vector<ProbeResult> rankedProbes() const;
 
     /** Epochs spent holding before sensitivities are re-probed. A
      * probe pass costs one epoch per feasible move, so re-probing
@@ -221,84 +156,6 @@ class ProbeAndShiftPolicy : public TuningPolicy
     int rollbacks_ = 0;
     int latencyRollbacks_ = 0;
     std::string label_ = "baseline";
-};
-
-/**
- * Guardrail layer the resilience controller installs around any
- * inner policy: while frozen, onEpoch() returns the held state the
- * inner policy handed over in onFreeze() (in-flight trials rolled
- * back), so probing and climbing are fully suspended; unfreeze
- * forwards to the inner policy so its re-probe backoff restarts
- * fast. Everything else delegates, keeping reports and labels
- * attributed to the inner policy.
- */
-class FreezeGuardPolicy : public TuningPolicy
-{
-  public:
-    explicit FreezeGuardPolicy(std::unique_ptr<TuningPolicy> inner)
-        : inner_(std::move(inner))
-    {
-    }
-
-    const char *name() const override { return inner_->name(); }
-
-    KnobState
-    onEpoch(const EpochMetrics &m) override
-    {
-        return frozen_ ? held_ : inner_->onEpoch(m);
-    }
-
-    const std::string &
-    phaseLabel() const override
-    {
-        return frozen_ ? frozenLabel_ : inner_->phaseLabel();
-    }
-
-    KnobState initialState() const override
-    {
-        return inner_->initialState();
-    }
-
-    int probes() const override { return inner_->probes(); }
-    int shifts() const override { return inner_->shifts(); }
-    int rollbacks() const override { return inner_->rollbacks(); }
-    int latencyRollbacks() const override
-    {
-        return inner_->latencyRollbacks();
-    }
-    std::vector<ProbeResult> rankedProbes() const override
-    {
-        return inner_->rankedProbes();
-    }
-
-    /** Enter the freeze; returns the state to hold (idempotent). */
-    KnobState
-    freeze()
-    {
-        if (!frozen_) {
-            held_ = inner_->onFreeze();
-            frozen_ = true;
-        }
-        return held_;
-    }
-
-    void
-    unfreeze()
-    {
-        if (frozen_) {
-            frozen_ = false;
-            inner_->onUnfreeze();
-        }
-    }
-
-    bool frozen() const { return frozen_; }
-    TuningPolicy &inner() { return *inner_; }
-
-  private:
-    std::unique_ptr<TuningPolicy> inner_;
-    bool frozen_ = false;
-    KnobState held_;
-    std::string frozenLabel_ = "frozen";
 };
 
 } // namespace dbsens

@@ -300,8 +300,8 @@ runEpisode(const ChaosEpisode &ep)
     cfg.fault.script = ep.script;
     if (ep.tune) {
         cfg.tune.enabled = true;
-        // Episodes are tens of ms: shrink the epoch so the policy
-        // actually probes (and the freeze guard has trials to roll
+        // Episodes are tens of ms: shrink the epoch so the climber
+        // actually probes (and a change-freeze has trials to roll
         // back when an incident lands mid-trial).
         cfg.tune.epoch = milliseconds(4);
     }

@@ -608,7 +608,7 @@ TEST(LatencyGuardrail, TrialLatencySpikeVetoesTheCommit)
     // clears the margin) — but any departure from the even split
     // spikes tail latency 100x, so the guardrail must veto every
     // commit and the base state must never move.
-    KnobState state = policy.initialState();
+    KnobState state = policy.base();
     for (int epoch = 1; epoch <= 40; ++epoch) {
         EpochMetrics m;
         m.epoch = epoch;
@@ -619,7 +619,7 @@ TEST(LatencyGuardrail, TrialLatencySpikeVetoesTheCommit)
     }
     EXPECT_EQ(policy.shifts(), 0);
     EXPECT_GT(policy.latencyRollbacks(), 0);
-    EXPECT_TRUE(policy.initialState() == arb.evenSplit());
+    EXPECT_TRUE(policy.base() == arb.evenSplit());
 }
 
 TEST(LatencyGuardrail, NoLatencyStatMeansNoVeto)
@@ -636,7 +636,7 @@ TEST(LatencyGuardrail, NoLatencyStatMeansNoVeto)
     cfg.hysteresis = 0.01;
     ProbeAndShiftPolicy policy(arb, cfg, arb.evenSplit());
 
-    KnobState state = policy.initialState();
+    KnobState state = policy.base();
     for (int epoch = 1; epoch <= 40; ++epoch) {
         EpochMetrics m;
         m.epoch = epoch;
