@@ -296,14 +296,8 @@ Executor::execFilter(const PlanNode &n, Chunk in)
     OpProfile op;
     op.label = "Filter";
     op.rowsIn = in.rows();
-    std::vector<uint32_t> sel;
-    if (ctx_.workers) {
-        const BoundExpr be(n.predicate, in, &ctx_.params);
-        sel = morselFilter(be, in.rows(), ctx_.workers);
-    } else {
-        sel = filterRows(n.predicate, in, &ctx_.params);
-    }
-    Chunk out = in.gather(sel);
+    const BoundExpr be(n.predicate, in, &ctx_.params);
+    Chunk out = in.gather(morselFilter(be, in.rows(), ctx_.workers));
     op.rowsOut = out.rows();
     op.instructions =
         double(op.rowsIn) *
@@ -328,17 +322,13 @@ Executor::execProject(const PlanNode &n, Chunk in)
             c.rename(spec.alias.empty() ? spec.expr->column : spec.alias);
             out.addColumn(std::move(c));
             per_row += 0.1;
-        } else if (ctx_.workers) {
+        } else {
             const BoundExpr be(spec.expr, in, &ctx_.params);
             ColumnVector c = ColumnVector::doubles(spec.alias);
             c.doubles().resize(in.rows());
             morselEval(be, in.rows(), c.doubles().data(),
                        ctx_.workers);
             out.addColumn(std::move(c));
-            per_row += kProjectPerNodeInstr * exprSize(*spec.expr);
-        } else {
-            out.addColumn(
-                evalColumn(spec.expr, in, spec.alias, &ctx_.params));
             per_row += kProjectPerNodeInstr * exprSize(*spec.expr);
         }
     }
@@ -706,11 +696,7 @@ Executor::execAggregate(const PlanNode &n, Chunk in)
             // bitwise identical for any worker count; the group
             // accumulation below stays serial so floating-point sums
             // keep the exact serial order.
-            if (ctx_.workers)
-                morselEval(be, nrows, arg_vals[a].data(),
-                           ctx_.workers);
-            else
-                be.evalNumericRange(0, nrows, arg_vals[a].data());
+            morselEval(be, nrows, arg_vals[a].data(), ctx_.workers);
         }
     }
 
