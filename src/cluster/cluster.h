@@ -96,8 +96,6 @@ class ShardRouter
                              int64_t(n + 1) * rows_per_shard, "acct"});
     }
 
-    int shardCount() const { return int(catalogs_.size()); }
-
     int64_t
     totalKeys() const
     {

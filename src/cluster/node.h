@@ -107,8 +107,6 @@ class ClusterNode
     /** True once every prepared/in-doubt branch has been resolved. */
     bool quiesced() const { return unresolved_ == 0; }
 
-    size_t inDoubtCount() const { return inDoubt_.size(); }
-
     /** Prepared + in-doubt branches awaiting a verdict. */
     int unresolvedCount() const { return unresolved_; }
 

@@ -216,11 +216,6 @@ class FaultInjector
     void notePageRecovered() { ++c_.pageRecovered; }
     void noteGrantShed() { ++c_.grantSheds; ++c_.injected; }
     void noteCheckpoint() { ++c_.checkpoints; }
-    void noteRecovery(uint64_t redo, uint64_t undo)
-    {
-        c_.redoRecords += redo;
-        c_.undoRecords += undo;
-    }
 
     const FaultCounters &counters() const { return c_; }
 

@@ -109,8 +109,7 @@ class Database : public TableResolver
     /** Register every storage object with a fresh per-run pool. */
     void bindPool(BufferPool &pool);
 
-    /** Currently bound pool (null between runs). */
-    BufferPool *activePool() const { return activePool_; }
+    /** Drop the bound pool (between runs). */
     void unbindPool() { activePool_ = nullptr; }
 
     VirtualSpace &space() { return space_; }

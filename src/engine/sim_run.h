@@ -276,9 +276,6 @@ class SimRun
                loop.now() < start_ + cfg_.warmup + cfg_.duration;
     }
 
-    /** Loop time at construction (0 unless on a shared loop). */
-    SimTime startTime() const { return start_; }
-
     // ----- crash state (set by the injector's crash hook)
 
     bool crashed() const { return crashed_; }

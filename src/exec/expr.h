@@ -142,9 +142,6 @@ class BoundExpr
     /** Evaluate as a numeric (double) at row i (scalar reference). */
     double evalNumeric(size_t i) const;
 
-    /** Evaluate as int64 at row i. */
-    int64_t evalInt(size_t i) const { return int64_t(evalNumeric(i)); }
-
     /**
      * Vectorized filter: shrink `sel` in place to the rows where the
      * expression is true. `sel` must be strictly increasing.

@@ -64,10 +64,6 @@ class LlcSim
     /** Ways per socket that setTotalAllocationMb(mb) allows. */
     static int waysForAllocationMb(int mb);
 
-    uint32_t wayMask() const { return cosMask_[0]; }
-
-    uint32_t cosWayMask(int cos) const { return cosMask_[cos]; }
-
     /** Number of ways allowed per socket for one COS. */
     int allowedWays(int cos = 0) const { return allowedWays_[cos]; }
 

@@ -151,7 +151,6 @@ class BlameLedger
     void freeze(SimTime t);
 
     bool open() const { return open_; }
-    SimTime windowBegin() const { return begin_; }
     double windowNs() const { return windowNs_; }
 
     /** Duration-only charge ending now: interval [now - ns, now). */

@@ -101,7 +101,6 @@ class ResilController
         return cappedExpDelay(kAdmitRetryBase, kAdmitRetryCap, attempt);
     }
 
-    bool incidentActive() const { return detector_.active(); }
     int rung() const { return ladder_.rung(); }
     uint64_t incidentDigest() const { return digest_; }
 

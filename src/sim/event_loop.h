@@ -102,13 +102,6 @@ class EventLoop
     DomainId newDomain() { return nextDomain_++; }
 
     /**
-     * Domain new events are tagged with. Set while dispatching an
-     * event (events inherit the dispatching event's domain) or via
-     * DomainScope.
-     */
-    DomainId currentDomain() const { return currentDomain_; }
-
-    /**
      * Kill a domain: queued and future events tagged with it are
      * dropped at dispatch, so no coroutine belonging to it ever
      * resumes again (frames leak, same as EventLoop teardown).

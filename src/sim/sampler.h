@@ -101,17 +101,6 @@ class MetricSampler
         return it->second;
     }
 
-    /** Names of all series recorded so far, sorted. */
-    std::vector<std::string>
-    seriesNames() const
-    {
-        std::vector<std::string> out;
-        out.reserve(series_.size());
-        for (const auto &[n, _] : series_)
-            out.push_back(n);
-        return out;
-    }
-
     bool
     hasSeries(const std::string &name) const
     {

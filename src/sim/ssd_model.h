@@ -81,7 +81,6 @@ class SsdModel
     uint64_t bytesRead() const { return bytesRead_; }
     uint64_t bytesWritten() const { return bytesWritten_; }
     uint64_t readOps() const { return readOps_; }
-    uint64_t writeOps() const { return writeOps_; }
 
     /** Register gauges over this device under `prefix` (e.g. "ssd"). */
     void registerStats(StatsRegistry &reg, const std::string &prefix) const;

@@ -135,10 +135,6 @@ class SketchHub
 
     void noteLatency(int tenant, double ms);
     uint64_t latencyCount(int tenant) const;
-    const KllSketch &latencySketch(int tenant) const
-    {
-        return lat_[tenant];
-    }
 
     // ----- grant-pressure resize ladder -----
 

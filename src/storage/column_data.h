@@ -89,7 +89,6 @@ class ColumnData
     }
 
     void appendInt(int64_t v) { i64_.push_back(v); }
-    void appendDouble(double v) { dbl_.push_back(v); }
     void appendString(const std::string &s)
     {
         i64_.push_back(int64_t(dict_.codeOf(s)));
@@ -136,7 +135,6 @@ class ColumnData
     }
 
     void setInt(RowId r, int64_t v) { i64_[r] = v; }
-    void setDouble(RowId r, double v) { dbl_[r] = v; }
 
     const std::vector<int64_t> &intData() const { return i64_; }
     const std::vector<double> &doubleData() const { return dbl_; }

@@ -43,13 +43,6 @@ class ColumnStore
         return segments_[size_t(col)].pages[size_t(group)];
     }
 
-    /** Compressed bytes of one segment of a column. */
-    uint64_t
-    segmentBytes(ColumnId col) const
-    {
-        return segments_[size_t(col)].bytesPerGroup;
-    }
-
     /** Full-scale cache address for row `r` of column `col`. */
     uint64_t
     cacheAddr(ColumnId col, RowId r) const

@@ -129,9 +129,6 @@ class LockManager
     /** Transactions currently parked in some wait queue. */
     std::vector<TxnId> waitingTxns() const;
 
-    /** Resources with a non-empty holder or waiter list. */
-    size_t queueCount() const { return queues_.size(); }
-
     /**
      * Internal cross-consistency check: every holder entry appears in
      * the per-txn held index and vice versa, no queue is empty yet
