@@ -87,7 +87,7 @@ runOltpOn(OltpWorkload &workload, Database &db, RunConfig cfg)
             res.queriesShedTimeout += run.grants.shedTimeoutCount();
             res.queriesShedAdmission += run.grants.shedAdmissionCount();
             if (run.autopilot)
-                res.tune = run.autopilot->result();
+                res.tune.merge(run.autopilot->result());
             if (run.obs)
                 res.attribution.merge(run.obs->finish());
             if (run.resil)

@@ -1,5 +1,7 @@
 #include "tune/tune.h"
 
+#include "core/digest.h"
+
 namespace dbsens {
 
 std::string
@@ -21,6 +23,28 @@ TuneMove::name() const
         return "dop" + tt + "-" + st;
     }
     return "?";
+}
+
+void
+TuneResult::merge(const TuneResult &o)
+{
+    // Copying the first phase keeps one-phase results (and the
+    // reports and digests built on them) exactly the autopilot's.
+    if (!enabled) {
+        *this = o;
+        return;
+    }
+    epochs += o.epochs;
+    probes += o.probes;
+    shifts += o.shifts;
+    rollbacks += o.rollbacks;
+    freezes += o.freezes;
+    // Chain phase digests the way ResilResult::merge does: an
+    // order-sensitive fold, so the whole run stays bit-comparable.
+    trajectoryDigest = fnv1aWord(trajectoryDigest, o.trajectoryDigest);
+    score = o.score;
+    finalState = o.finalState;
+    probeDeltas = o.probeDeltas;
 }
 
 } // namespace dbsens
