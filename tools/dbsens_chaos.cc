@@ -8,6 +8,10 @@
  *   dbsens_chaos [--episodes N] [--seed S] [--small] [--out DIR]
  *                [--inject-corruption] [--replay FILE]
  *
+ * The summary line ends with a digest folding every episode's state
+ * digest in order: equal digests mean the whole sweep replayed
+ * bit-identically (CI pins it for `--episodes 20 --small`).
+ *
  * Exit status: 0 when every episode matched expectations (clean runs
  * audit clean; with --inject-corruption every corrupted episode is
  * caught, minimized, and replays bit-identically), 1 otherwise, 2 on
@@ -20,6 +24,7 @@
 #include <string>
 #include <sys/stat.h>
 
+#include "core/digest.h"
 #include "verify/chaos.h"
 
 using namespace dbsens;
@@ -114,6 +119,7 @@ main(int argc, char **argv)
 
     int caught = 0, clean = 0, failures = 0;
     verify::AuditReport totals;
+    uint64_t sweepDigest = kFnvBasis;
     for (uint64_t i = 0; i < episodes; ++i) {
         const uint64_t ep_seed = seed + i;
         verify::ChaosEpisode ep = verify::randomEpisode(ep_seed, small);
@@ -127,6 +133,8 @@ main(int argc, char **argv)
 
         const verify::EpisodeOutcome outc = verify::runEpisode(ep);
         totals.merge(outc.report);
+        sweepDigest = fnv1a(outc.stateDigest.data(),
+                            outc.stateDigest.size(), sweepDigest);
         char fleetTag[24] = "";
         if (ep.cluster)
             std::snprintf(fleetTag, sizeof fleetTag, " fleet(x%d)",
@@ -198,12 +206,13 @@ main(int argc, char **argv)
 
     std::printf("chaos: %d/%llu episodes clean, %d violations "
                 "(%s), %llu btrees / %llu pages / %llu index entries "
-                "audited, %llu history records replayed\n",
+                "audited, %llu history records replayed, digest %s\n",
                 clean, (unsigned long long)episodes, caught,
                 inject ? "corruption injected" : "expected 0",
                 (unsigned long long)totals.btreesChecked,
                 (unsigned long long)totals.pagesChecked,
                 (unsigned long long)totals.indexEntriesChecked,
-                (unsigned long long)totals.historyRecordsReplayed);
+                (unsigned long long)totals.historyRecordsReplayed,
+                digestHex(sweepDigest).c_str());
     return failures ? 1 : 0;
 }
