@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the table/figure reproduction binaries: standard
- * run configurations, workload factories, and formatting. Each bench
+ * run configurations and formatting (the OLTP workload factory,
+ * makeOltpWorkload, comes with the workload headers). Each bench
  * prints the paper's anchor numbers next to the measured ones so the
  * shape comparison is one `diff` away (see EXPERIMENTS.md).
  */
@@ -45,19 +46,6 @@ llcLadder()
     for (int mb = 2; mb <= 40; mb += 2)
         v.push_back(mb);
     return v;
-}
-
-/** Make an OLTP-ish workload by name ("TPC-E", "ASDB", "HTAP"). */
-inline std::unique_ptr<OltpWorkload>
-makeOltpWorkload(const std::string &name, int sf)
-{
-    if (name == "TPC-E")
-        return std::make_unique<tpce::TpceWorkload>(sf);
-    if (name == "ASDB")
-        return std::make_unique<asdb::AsdbWorkload>(sf);
-    if (name == "HTAP")
-        return std::make_unique<htap::HtapWorkload>(sf);
-    fatal("unknown workload " + name);
 }
 
 /** Standard OLTP sweep-point configuration. */

@@ -107,7 +107,7 @@ main(int argc, char **argv)
     const obs::AttributionResult &attr = attr_res.attribution;
 
     TablePrinter bt({"tenant", "class", "blame ms", "share %"});
-    for (int t = 0; t < obs::kBlameTenants; ++t) {
+    for (int t = 0; t < kNumTenants; ++t) {
         const obs::TenantAttribution &ta = attr.tenants[t];
         if (ta.makespanNs <= 0)
             continue;
@@ -125,7 +125,7 @@ main(int argc, char **argv)
 
     banner("Predicted sensitivity ranking (derived from blame)");
     TablePrinter rt({"tenant", "rank", "resource", "blame ms"});
-    for (int t = 0; t < obs::kBlameTenants; ++t) {
+    for (int t = 0; t < kNumTenants; ++t) {
         const auto ranking = attr.tenants[t].ranking();
         for (size_t i = 0; i < ranking.size(); ++i)
             rt.row()
@@ -163,7 +163,7 @@ main(int argc, char **argv)
 
     bool ranking_ok = true;
     Json tenants_json = Json::array();
-    for (int t = 0; t < obs::kBlameTenants; ++t) {
+    for (int t = 0; t < kNumTenants; ++t) {
         // Probe-measured sensitivity per resource from symmetric
         // evidence: the tenant's own mean rate gain when it receives
         // the resource, and its own mean rate loss when the resource

@@ -7,7 +7,7 @@
 
 #include "core/backoff.h"
 #include "core/digest.h"
-#include "core/fault.h"
+#include "sim/fault.h"
 
 namespace dbsens {
 namespace cluster {

@@ -40,6 +40,16 @@ inline constexpr size_t kPageSize = 8192;
 /** Cache line size used by the LLC model. */
 inline constexpr size_t kCacheLineSize = 64;
 
+/**
+ * Tenant classes: the HTAP transactional mix and its analytical
+ * session. The core scheduler's leases, the autopilot's shares, the
+ * resilience controller's admission buckets, and the obs and sketch
+ * per-tenant views all index by these.
+ */
+inline constexpr int kTenantOltp = 0; ///< transactional sessions
+inline constexpr int kTenantOlap = 1; ///< analytical (DSS) sessions
+inline constexpr int kNumTenants = 2;
+
 } // namespace dbsens
 
 #endif // DBSENS_CORE_TYPES_H

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "core/fault.h"
 #include "core/trace.h"
+#include "sim/fault.h"
 
 namespace dbsens {
 

@@ -112,7 +112,6 @@ SimRun::SimRun(Database &db, const RunConfig &cfg, EventLoop *ext)
 
     if (cfg.fault.enabled) {
         faults = std::make_unique<FaultInjector>(cfg.fault);
-        timeline_ = std::make_unique<LoopTimeline>(loop);
         llcMbNow_ = cfg.llcMb;
         ssd.setFaultInjector(faults.get());
         pool.setFaultInjector(faults.get());
@@ -137,7 +136,7 @@ SimRun::SimRun(Database &db, const RunConfig &cfg, EventLoop *ext)
             loop.stop();
         };
         hooks.corruptRow = [this](uint64_t ord) { corruptOneRow(ord); };
-        faults->start(*timeline_, hooks);
+        faults->start(loop, hooks);
         faults->registerStats(stats, "fault");
     }
 
@@ -211,7 +210,7 @@ SimRun::SimRun(Database &db, const RunConfig &cfg, EventLoop *ext)
         obs->addCounter("grant_reserved_mb", "grants.reserved_bytes",
                         1.0 / (1 << 20));
         obs->addCounter("grant_waiters", "grants.waiters");
-        for (int t = 0; t < CoreScheduler::kMaxTenants; ++t)
+        for (int t = 0; t < kNumTenants; ++t)
             obs->addCounter("tenant" + std::to_string(t) +
                                 "_lease_cores",
                             "sched.tenant" + std::to_string(t) +

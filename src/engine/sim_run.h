@@ -16,7 +16,6 @@
 #include <unordered_set>
 
 #include "core/calibration.h"
-#include "core/fault.h"
 #include "core/stats.h"
 #include "engine/database.h"
 #include "engine/grant_gate.h"
@@ -26,13 +25,14 @@
 #include "sim/core_scheduler.h"
 #include "sim/dram_model.h"
 #include "sim/event_loop.h"
+#include "sim/fault.h"
 #include "sim/sampler.h"
 #include "sim/ssd_model.h"
+#include "sim/wait_stats.h"
 #include "stats_sketch/hub.h"
 #include "tune/autopilot.h"
 #include "txn/latch_table.h"
 #include "txn/lock_manager.h"
-#include "txn/wait_stats.h"
 #include "txn/wal.h"
 
 namespace dbsens {
@@ -314,19 +314,6 @@ class SimRun
     }
 
   private:
-    /** EventLoop-backed clock for the injector (core can't see sim). */
-    struct LoopTimeline : FaultInjector::Timeline
-    {
-        explicit LoopTimeline(EventLoop &l) : loop(l) {}
-        SimTime now() const override { return loop.now(); }
-        void
-        at(SimTime t, std::function<void()> fn) override
-        {
-            loop.at(t, std::move(fn));
-        }
-        EventLoop &loop;
-    };
-
     SimRun(Database &db, const RunConfig &cfg, EventLoop *ext);
 
     /** Grant-pool actuator shared by the autopilot and the resilience
@@ -338,7 +325,6 @@ class SimRun
     RunConfig cfg_;
     SimTime start_ = 0;
     TxnId txnSeq_ = 0;
-    std::unique_ptr<LoopTimeline> timeline_;
     std::unordered_set<TxnId> activeTxns_;
     bool crashed_ = false;
     SimTime crashTime_ = 0;

@@ -86,14 +86,14 @@ TenantAttribution::ranking() const
 BlameLedger::BlameLedger(std::function<SimTime()> now)
     : now_(std::move(now))
 {
-    for (int t = 0; t < kBlameTenants; ++t)
+    for (int t = 0; t < kNumTenants; ++t)
         tenants_[t].sessions = (t == 0) ? 1 : 0;
 }
 
 void
 BlameLedger::setSessions(int tenant, int sessions)
 {
-    if (tenant < 0 || tenant >= kBlameTenants)
+    if (tenant < 0 || tenant >= kNumTenants)
         return;
     tenants_[tenant].sessions = sessions;
 }
@@ -107,7 +107,7 @@ BlameLedger::beginWindow(SimTime t)
     frozen_ = false;
     // Warmup reset: drop charges and scopes accumulated before the
     // measured window so warmup waits don't pollute the shares.
-    for (int tn = 0; tn < kBlameTenants; ++tn) {
+    for (int tn = 0; tn < kNumTenants; ++tn) {
         std::memset(tenants_[tn].shareNs, 0, sizeof tenants_[tn].shareNs);
         tenants_[tn].makespanNs = 0;
         // Keep open scopes (a query may straddle warmup); restart
@@ -130,12 +130,12 @@ BlameLedger::freeze(SimTime t)
     end_ = t;
     frozen_ = true;
     // Close any still-open query scope at the window edge.
-    for (int tn = 0; tn < kBlameTenants; ++tn)
+    for (int tn = 0; tn < kNumTenants; ++tn)
         if (openQuery_[tn].active)
             endQuery(tn, t);
     open_ = false;
     windowNs_ = double(end_ - begin_);
-    for (int tn = 0; tn < kBlameTenants; ++tn) {
+    for (int tn = 0; tn < kNumTenants; ++tn) {
         TenantAttribution &ta = tenants_[tn];
         ta.makespanNs = double(ta.sessions) * windowNs_;
         double idle = ta.makespanNs - ta.chargedNs();
@@ -169,7 +169,7 @@ BlameLedger::addToScope(int tenant, BlameClass c, double ns)
 void
 BlameLedger::chargeDur(int tenant, BlameClass c, double ns)
 {
-    if (!open_ || tenant < 0 || tenant >= kBlameTenants || ns <= 0)
+    if (!open_ || tenant < 0 || tenant >= kNumTenants || ns <= 0)
         return;
     SimTime now = now_();
     SimTime start = now - SimTime(ns);
@@ -180,7 +180,7 @@ void
 BlameLedger::chargeInterval(int tenant, BlameClass c, SimTime start,
                             SimTime end)
 {
-    if (!open_ || tenant < 0 || tenant >= kBlameTenants)
+    if (!open_ || tenant < 0 || tenant >= kNumTenants)
         return;
     addToScope(tenant, c, clip(start, end, nullptr));
 }
@@ -189,7 +189,7 @@ void
 BlameLedger::cpuBurst(int tenant, SimTime enqueue, SimTime grant,
                       SimTime end, double compute_ns, double stall_ns)
 {
-    if (!open_ || tenant < 0 || tenant >= kBlameTenants)
+    if (!open_ || tenant < 0 || tenant >= kNumTenants)
         return;
     addToScope(tenant, BlameClass::CpuQueue,
                clip(enqueue, grant, nullptr));
@@ -217,7 +217,7 @@ BlameLedger::cpuBurst(int tenant, SimTime enqueue, SimTime grant,
 void
 BlameLedger::beginQuery(int tenant, const std::string &name, SimTime t)
 {
-    if (tenant < 0 || tenant >= kBlameTenants)
+    if (tenant < 0 || tenant >= kNumTenants)
         return;
     OpenQuery &q = openQuery_[tenant];
     if (q.active)
@@ -231,7 +231,7 @@ BlameLedger::beginQuery(int tenant, const std::string &name, SimTime t)
 void
 BlameLedger::endQuery(int tenant, SimTime t)
 {
-    if (tenant < 0 || tenant >= kBlameTenants)
+    if (tenant < 0 || tenant >= kNumTenants)
         return;
     OpenQuery &q = openQuery_[tenant];
     if (!q.active)
@@ -281,7 +281,7 @@ BlameLedger::digest() const
         std::memcpy(&bits, &v, sizeof bits);
         h = fnv1aWord(h, bits);
     };
-    for (int t = 0; t < kBlameTenants; ++t) {
+    for (int t = 0; t < kNumTenants; ++t) {
         fold(tenants_[t].makespanNs);
         for (size_t c = 0; c < kBlameClasses; ++c)
             fold(tenants_[t].shareNs[c]);

@@ -39,12 +39,10 @@
 #include <vector>
 
 #include "core/sim_time.h"
+#include "core/types.h"
 
 namespace dbsens {
 namespace obs {
-
-/** Tenant classes the ledger tracks (mirrors tune/tune.h). */
-inline constexpr int kBlameTenants = 2;
 
 /** Blame classes a makespan decomposes into. */
 enum class BlameClass : uint8_t {
@@ -213,8 +211,8 @@ class BlameLedger
     SimTime begin_ = 0;
     SimTime end_ = 0;
     double windowNs_ = 0;
-    TenantAttribution tenants_[kBlameTenants];
-    OpenQuery openQuery_[kBlameTenants];
+    TenantAttribution tenants_[kNumTenants];
+    OpenQuery openQuery_[kNumTenants];
     std::vector<QueryAttribution> queries_;
 };
 

@@ -24,7 +24,7 @@ AttributionResult::merge(const AttributionResult &other)
         return;
     enabled = true;
     windowNs += other.windowNs;
-    for (int t = 0; t < kBlameTenants; ++t) {
+    for (int t = 0; t < kNumTenants; ++t) {
         tenants[t].sessions =
             std::max(tenants[t].sessions, other.tenants[t].sessions);
         tenants[t].makespanNs += other.tenants[t].makespanNs;
@@ -83,7 +83,7 @@ AttributionResult::merge(const AttributionResult &other)
 void
 AttributionResult::addRecovery(int tenant, double ns)
 {
-    if (tenant < 0 || tenant >= kBlameTenants || ns <= 0)
+    if (tenant < 0 || tenant >= kNumTenants || ns <= 0)
         return;
     enabled = true;
     TenantAttribution &ta = tenants[tenant];
@@ -96,7 +96,7 @@ double
 AttributionResult::sumError() const
 {
     double worst = 0;
-    for (int t = 0; t < kBlameTenants; ++t) {
+    for (int t = 0; t < kNumTenants; ++t) {
         const TenantAttribution &ta = tenants[t];
         if (ta.makespanNs <= 0)
             continue;
@@ -128,7 +128,7 @@ AttributionResult::toJson() const
     j["digest"] = Json(digestHex(digest));
 
     Json tens = Json::array();
-    for (int t = 0; t < kBlameTenants; ++t) {
+    for (int t = 0; t < kNumTenants; ++t) {
         const TenantAttribution &ta = tenants[t];
         Json tj = Json::object();
         tj["tenant"] = Json(t);
@@ -203,7 +203,7 @@ RunObserver::RunObserver(const ObsConfig &cfg, const StatsRegistry &reg,
     : cfg_(cfg), reg_(reg), ledger_(std::move(now)),
       hub_(reg, kSeriesCapacity)
 {
-    for (int t = 0; t < kBlameTenants; ++t) {
+    for (int t = 0; t < kNumTenants; ++t) {
         ledger_.setSessions(t, cfg_.sessions[t]);
         slo_.setSpec(t, cfg_.slo[t]);
     }
@@ -220,7 +220,7 @@ RunObserver::addCounter(std::string trace_name, std::string stat,
 void
 RunObserver::beginWindow(SimTime t)
 {
-    for (int tn = 0; tn < kBlameTenants; ++tn)
+    for (int tn = 0; tn < kNumTenants; ++tn)
         ledger_.setSessions(tn, cfg_.sessions[tn]);
     ledger_.beginWindow(t);
     hub_.rebase();
@@ -293,7 +293,7 @@ RunObserver::finish() const
     AttributionResult r;
     r.enabled = true;
     r.windowNs = ledger_.windowNs();
-    for (int t = 0; t < kBlameTenants; ++t)
+    for (int t = 0; t < kNumTenants; ++t)
         r.tenants[t] = ledger_.tenant(t);
     r.queries = ledger_.queries();
     r.violations = slo_.violations();

@@ -38,8 +38,8 @@ struct ObsConfig
      * benches with sub-second windows shrink it). */
     SimDuration sampleEvery = seconds(1);
     /** Closed-loop sessions per tenant; 0 = auto-fill from workload. */
-    int sessions[kBlameTenants] = {0, 0};
-    SloSpec slo[kBlameTenants];
+    int sessions[kNumTenants] = {0, 0};
+    SloSpec slo[kNumTenants];
 };
 
 /** Snapshot of one run's (or merged phases') attribution. */
@@ -58,7 +58,7 @@ struct AttributionResult
 
     bool enabled = false;
     double windowNs = 0;
-    TenantAttribution tenants[kBlameTenants];
+    TenantAttribution tenants[kNumTenants];
     std::vector<QueryAttribution> queries;
     std::vector<SloViolation> violations;
     std::vector<SeriesSnapshot> series;

@@ -138,7 +138,7 @@ SeriesHub::find(const std::string &name) const
 void
 SloTracker::setSpec(int tenant, const SloSpec &spec)
 {
-    if (tenant < 0 || tenant >= kTenants)
+    if (tenant < 0 || tenant >= kNumTenants)
         return;
     tick_[tenant].spec = spec;
 }
@@ -146,7 +146,7 @@ SloTracker::setSpec(int tenant, const SloSpec &spec)
 void
 SloTracker::recordLatency(int tenant, double latency_ns)
 {
-    if (tenant < 0 || tenant >= kTenants)
+    if (tenant < 0 || tenant >= kNumTenants)
         return;
     tick_[tenant].latencies.add(latency_ns);
 }
@@ -155,7 +155,7 @@ size_t
 SloTracker::evaluate(SimTime t)
 {
     size_t added = 0;
-    for (int tn = 0; tn < kTenants; ++tn) {
+    for (int tn = 0; tn < kNumTenants; ++tn) {
         TenantTick &tt = tick_[tn];
         const SloSpec &spec = tt.spec;
         if (spec.p99LatencyMs > 0 && tt.latencies.count() > 0) {

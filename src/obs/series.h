@@ -24,6 +24,7 @@
 #include "core/histogram.h"
 #include "core/sim_time.h"
 #include "core/stats.h"
+#include "core/types.h"
 
 namespace dbsens {
 namespace obs {
@@ -147,8 +148,6 @@ struct SloViolation
 class SloTracker
 {
   public:
-    static constexpr int kTenants = 2;
-
     void setSpec(int tenant, const SloSpec &spec);
 
     /** Record one completed request's latency (simulated ns). */
@@ -170,7 +169,7 @@ class SloTracker
         Distribution latencies;
     };
 
-    TenantTick tick_[kTenants];
+    TenantTick tick_[kNumTenants];
     std::vector<SloViolation> violations_;
 };
 

@@ -11,7 +11,7 @@
  * climb a staged ladder of reversible defenses. Everything here is a
  * plain value type; the subsystem wires into a run through callbacks
  * (ResilController::Hooks), so `resil` depends only on core/ and
- * sim/ plus the tune value-type header for tenant numbering.
+ * sim/.
  */
 
 #ifndef DBSENS_RESIL_RESIL_H
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "core/sim_time.h"
-#include "tune/tune.h"
+#include "core/types.h"
 
 namespace dbsens::resil {
 

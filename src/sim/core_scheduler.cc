@@ -141,13 +141,13 @@ CoreScheduler::pickFreeCore() const
 void
 CoreScheduler::setTenantMask(int tenant, uint64_t mask)
 {
-    if (tenant < 0 || tenant >= kMaxTenants)
+    if (tenant < 0 || tenant >= kNumTenants)
         fatal("tenant id must be in [0, " +
-              std::to_string(kMaxTenants) + "), got " +
+              std::to_string(kNumTenants) + "), got " +
               std::to_string(tenant));
     tenantMask_[tenant] = mask;
     haveLeases_ = false;
-    for (int t = 0; t < kMaxTenants; ++t)
+    for (int t = 0; t < kNumTenants; ++t)
         haveLeases_ = haveLeases_ || tenantMask_[t] != 0;
     // A repartition can hand free cores to a queued tenant.
     pumpWaiters();
@@ -156,7 +156,7 @@ CoreScheduler::setTenantMask(int tenant, uint64_t mask)
 void
 CoreScheduler::clearTenantMasks()
 {
-    for (int t = 0; t < kMaxTenants; ++t)
+    for (int t = 0; t < kNumTenants; ++t)
         tenantMask_[t] = 0;
     haveLeases_ = false;
     pumpWaiters();
@@ -165,14 +165,14 @@ CoreScheduler::clearTenantMasks()
 uint64_t
 CoreScheduler::tenantMask(int tenant) const
 {
-    return tenant >= 0 && tenant < kMaxTenants ? tenantMask_[tenant]
+    return tenant >= 0 && tenant < kNumTenants ? tenantMask_[tenant]
                                                : 0;
 }
 
 int
 CoreScheduler::pickFreeCoreFor(int tenant) const
 {
-    if (tenant < 0 || tenant >= kMaxTenants ||
+    if (tenant < 0 || tenant >= kNumTenants ||
         tenantMask_[tenant] == 0)
         return pickFreeCore();
     const uint64_t mask = tenantMask_[tenant] & kAllCores;
@@ -250,7 +250,7 @@ CoreScheduler::consume(CpuWork work)
     busyNs_ += dur;
     cores_[core].busyNs += dur;
     socketBusyNs_[socketOf(core)] += dur;
-    if (work.tenant >= 0 && work.tenant < kMaxTenants)
+    if (work.tenant >= 0 && work.tenant < kNumTenants)
         tenantBusyNs_[work.tenant] += dur;
     workNs_ += work.totalNs();
     if (dram_ && work.dramBytes > 0)

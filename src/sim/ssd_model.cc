@@ -2,9 +2,9 @@
 
 #include <algorithm>
 
-#include "core/fault.h"
 #include "core/stats.h"
 #include "core/trace.h"
+#include "sim/fault.h"
 
 namespace dbsens {
 

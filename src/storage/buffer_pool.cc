@@ -2,10 +2,10 @@
 
 #include <utility>
 
-#include "core/fault.h"
 #include "core/logging.h"
 #include "core/stats.h"
 #include "core/trace.h"
+#include "sim/fault.h"
 
 namespace dbsens {
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shared types for the autopilot subsystem: tenant identifiers, the
- * per-tenant knob vector, resource totals, and the tuning
+ * Shared types for the autopilot subsystem: the per-tenant knob
+ * vector (tenants numbered in core/types.h), resource totals, and the tuning
  * configuration embedded in RunConfig.
  *
  * The paper's payoff claim is that resource-sensitivity profiles
@@ -26,13 +26,9 @@
 #include <vector>
 
 #include "core/sim_time.h"
+#include "core/types.h"
 
 namespace dbsens {
-
-/** Tenant classes arbitrated by the autopilot. */
-inline constexpr int kTenantOltp = 0; ///< transactional sessions
-inline constexpr int kTenantOlap = 1; ///< analytical (DSS) sessions
-inline constexpr int kNumTenants = 2;
 
 /** One tenant's resource share. */
 struct TenantShare

@@ -15,7 +15,7 @@
 #include "core/logging.h"
 #include "core/trace.h"
 #include "sim/event_loop.h"
-#include "txn/wait_stats.h"
+#include "sim/wait_stats.h"
 
 namespace dbsens {
 

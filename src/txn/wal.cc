@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "core/fault.h"
 #include "core/trace.h"
+#include "sim/fault.h"
 
 namespace dbsens {
 

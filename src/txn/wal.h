@@ -26,7 +26,7 @@
 #include "sim/event_loop.h"
 #include "sim/ssd_model.h"
 #include "sim/task.h"
-#include "txn/wait_stats.h"
+#include "sim/wait_stats.h"
 
 namespace dbsens {
 

@@ -53,6 +53,13 @@ class OltpWorkload
                                uint64_t seed) = 0;
 };
 
+/**
+ * Make an OLTP workload by name ("TPC-E", "ASDB", "HTAP") at scale
+ * factor `sf`; null for an unknown name.
+ */
+std::unique_ptr<OltpWorkload> makeOltpWorkload(const std::string &name,
+                                               int sf);
+
 /** Back-off delay before retrying an aborted transaction. */
 inline SimDuration
 retryBackoff(Rng &rng)

@@ -14,11 +14,11 @@
 #include <set>
 
 #include "core/digest.h"
-#include "core/fault.h"
 #include "engine/grant_gate.h"
 #include "engine/recovery.h"
 #include "harness/oltp_runner.h"
 #include "sim/core_scheduler.h"
+#include "sim/fault.h"
 #include "sim/ssd_model.h"
 #include "storage/buffer_pool.h"
 #include "txn/lock_manager.h"

@@ -385,7 +385,7 @@ TEST(ObsIntegration, ReportJsonCarriesTheObsSection)
     const OltpRunResult r = runOltpOn(wl, *db, tinyConfig(true));
     const Json j = r.attribution.toJson();
     ASSERT_TRUE(j.contains("tenants"));
-    ASSERT_EQ(j.at("tenants").size(), size_t(obs::kBlameTenants));
+    ASSERT_EQ(j.at("tenants").size(), size_t(kNumTenants));
     const Json &t0 = j.at("tenants").at(0);
     EXPECT_TRUE(t0.contains("share_ms"));
     EXPECT_TRUE(t0.contains("ranking"));

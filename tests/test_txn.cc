@@ -7,9 +7,9 @@
 
 #include "sim/event_loop.h"
 #include "sim/ssd_model.h"
+#include "sim/wait_stats.h"
 #include "txn/lock_manager.h"
 #include "txn/sim_mutex.h"
-#include "txn/wait_stats.h"
 #include "txn/wal.h"
 
 namespace dbsens {

@@ -13,10 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "chaos/chaos.h"
 #include "engine/recovery.h"
 #include "harness/oltp_runner.h"
 #include "txn/lock_manager.h"
-#include "verify/chaos.h"
 #include "verify/verify.h"
 #include "workloads/tpce/tpce.h"
 

@@ -2,7 +2,7 @@
  * @file
  * Chaos driver: run many seeded random workload x fault episodes,
  * audit each one, and on violation minimize the episode into a
- * replayable repro file (see src/verify/chaos.h).
+ * replayable repro file (see src/chaos/chaos.h).
  *
  * Usage:
  *   dbsens_chaos [--episodes N] [--seed S] [--small] [--out DIR]
@@ -24,8 +24,8 @@
 #include <string>
 #include <sys/stat.h>
 
+#include "chaos/chaos.h"
 #include "core/digest.h"
-#include "verify/chaos.h"
 
 using namespace dbsens;
 
