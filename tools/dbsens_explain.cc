@@ -27,10 +27,12 @@
 #include <vector>
 
 #include "core/json.h"
+#include "resil/resil.h"
 
 namespace {
 
 using dbsens::Json;
+using dbsens::resil::rungName;
 
 double
 num(const Json &j, const std::string &key, double dflt = 0)
@@ -182,20 +184,6 @@ renderSketch(const std::string &label, const Json &s)
                     num(s, p + "lat_p50_ms"),
                     num(s, p + "lat_p95_ms"),
                     num(s, p + "lat_p99_ms"));
-    }
-}
-
-/** Names for the degradation-ladder rungs (resil/ladder.h order). */
-const char *
-rungName(int rung)
-{
-    switch (rung) {
-    case 0: return "normal";
-    case 1: return "dop-clamp";
-    case 2: return "grant-shrink";
-    case 3: return "admission";
-    case 4: return "oltp-priority";
-    default: return "?";
     }
 }
 
