@@ -151,7 +151,7 @@ ProbeAndShiftPolicy::onFreeze()
     probe_.begin({});
     mode_ = Mode::Hold;
     holdEpochs_ = 0;
-    label_ = "frozen";
+    label_ = "hold";
     return base_;
 }
 
