@@ -499,6 +499,49 @@ TEST(SketchHub, SameSeedRunsProduceBitIdenticalSketchDigests)
     EXPECT_EQ(a.latencyCount[0], b.latencyCount[0]);
 }
 
+// A crash run's sketch summary covers both phases: counts add, the
+// digest chains, and the shape, size and quantiles are the last
+// phase's (TuneResult::merge's contract).
+TEST(SketchHub, CrashRunMergesEveryPhasesSketch)
+{
+    asdb::AsdbWorkload wl(150, 32);
+    auto db = wl.generate(7);
+    RunConfig cfg;
+    cfg.cores = 16;
+    cfg.warmup = milliseconds(10);
+    cfg.duration = milliseconds(40);
+    cfg.sampleInterval = milliseconds(1);
+    cfg.seed = 42;
+    cfg.sketch.enabled = true;
+    cfg.fault.enabled = true;
+    cfg.fault.crashAt = cfg.warmup + cfg.duration / 2;
+    std::vector<sketch::SketchResult> phases;
+    cfg.phaseAudit = [&phases](SimRun &r, int) {
+        phases.push_back(r.sketch->result());
+    };
+    const OltpRunResult res = runOltpOn(wl, *db, cfg);
+    ASSERT_EQ(res.crashes, 1u);
+    ASSERT_EQ(phases.size(), 2u);
+    ASSERT_GT(phases[0].rowAccesses, 0u);
+    ASSERT_GT(phases[1].rowAccesses, 0u);
+
+    const sketch::SketchResult &s = res.sketch;
+    const sketch::SketchResult &last = phases[1];
+    EXPECT_TRUE(s.enabled);
+    EXPECT_EQ(s.rowAccesses, phases[0].rowAccesses + last.rowAccesses);
+    EXPECT_EQ(s.pageAccesses, phases[0].pageAccesses + last.pageAccesses);
+    EXPECT_EQ(s.hotHits, phases[0].hotHits + last.hotHits);
+    EXPECT_EQ(s.resizes, phases[0].resizes + last.resizes);
+    EXPECT_EQ(s.latencyCount[0],
+              phases[0].latencyCount[0] + last.latencyCount[0]);
+    EXPECT_EQ(s.digest, fnv1aWord(phases[0].digest, last.digest));
+    EXPECT_EQ(s.cmsWidth, last.cmsWidth);
+    EXPECT_EQ(s.columns, last.columns);
+    EXPECT_EQ(s.bytes, last.bytes);
+    EXPECT_DOUBLE_EQ(s.occupancy, last.occupancy);
+    EXPECT_DOUBLE_EQ(s.latP99Ms[0], last.latP99Ms[0]);
+}
+
 // ------------------------------------------------- optimizer flip
 
 struct SketchTestTable : TableHandle
