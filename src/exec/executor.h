@@ -131,14 +131,16 @@ class Executor
     touch(uint64_t addr, OpProfile &op)
     {
         if (ctx_.feed) {
-            ctx_.feed->touch(addr);
             if (workBuf_.valid()) {
-                for (int i = 0; i < kWorkBufTouchesPerData; ++i) {
+                uint64_t addrs[1 + kWorkBufTouchesPerData] = {addr};
+                for (int i = 1; i <= kWorkBufTouchesPerData; ++i) {
                     // Cubic skew: a few MB of the buffer are hot.
                     double f = ctx_.rng.uniformReal();
-                    ctx_.feed->touch(
-                        workBuf_.fractionAddr(f * f * f));
+                    addrs[i] = workBuf_.fractionAddr(f * f * f);
                 }
+                ctx_.feed->touch(addrs);
+            } else {
+                ctx_.feed->touch(addr);
             }
         }
         op.cacheTouches += 1 + (workBuf_.valid()

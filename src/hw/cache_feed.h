@@ -20,6 +20,7 @@
 #define DBSENS_HW_CACHE_FEED_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hw/llc_sim.h"
@@ -37,6 +38,14 @@ class CacheFeed
     /** Emit one sampled access at a full-scale virtual address. */
     virtual void touch(uint64_t addr) = 0;
 
+    /** Emit sampled accesses in order; the same as touching each. */
+    virtual void
+    touch(std::span<const uint64_t> addrs)
+    {
+        for (uint64_t a : addrs)
+            touch(a);
+    }
+
     /** Cumulative sampled accesses emitted. */
     virtual uint64_t accesses() const = 0;
 
@@ -48,6 +57,7 @@ class CacheFeed
 class NullCacheFeed : public CacheFeed
 {
   public:
+    using CacheFeed::touch;
     void touch(uint64_t) override { ++count_; }
     uint64_t accesses() const override { return count_; }
     uint64_t misses() const override { return 0; }
@@ -68,7 +78,7 @@ socketOfAddr(uint64_t addr)
  * CAT class of service charged for fills (0 unless a multi-tenant
  * partition is active — see src/tune/).
  */
-class LiveCacheFeed : public CacheFeed
+class LiveCacheFeed final : public CacheFeed
 {
   public:
     explicit LiveCacheFeed(LlcSim &llc, int cos = 0)
@@ -82,6 +92,20 @@ class LiveCacheFeed : public CacheFeed
         ++accesses_;
         if (!llc_.access(socketOfAddr(addr), addr, cos_))
             ++misses_;
+    }
+
+    /**
+     * Prefetch every address's row first, then access them in order:
+     * the host fetches the rows in parallel, while the accesses, their
+     * order and the clock are those of touching one at a time.
+     */
+    void
+    touch(std::span<const uint64_t> addrs) override
+    {
+        for (uint64_t a : addrs)
+            llc_.prefetch(socketOfAddr(a), a);
+        for (uint64_t a : addrs)
+            touch(a);
     }
 
     uint64_t accesses() const override { return accesses_; }
@@ -105,9 +129,11 @@ class AccessTrace
   public:
     explicit AccessTrace(size_t cap = 1u << 24) : cap_(cap) {}
 
+    /** Record one access; `addr` must be below LlcSim::kAddrLimit. */
     void
     add(uint64_t addr)
     {
+        LlcSim::checkAddr(addr);
         ++total_;
         if (total_ % stride_ == 0) {
             addrs_.push_back(addr);
@@ -177,6 +203,7 @@ class RecordingFeed : public CacheFeed
   public:
     explicit RecordingFeed(AccessTrace &trace) : trace_(trace) {}
 
+    using CacheFeed::touch;
     void touch(uint64_t addr) override { trace_.add(addr); }
     uint64_t accesses() const override { return trace_.total(); }
     uint64_t misses() const override { return 0; }

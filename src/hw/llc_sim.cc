@@ -11,11 +11,19 @@ namespace dbsens {
 
 LlcSim::LlcSim()
 {
-    // Way is an implicit-lifetime aggregate: access() assigns a row's
+    // One block per socket, as when each way was an interleaved tag
+    // and age: freeing it lifts malloc's mmap threshold to its size, so
+    // the next LlcSim's blocks are mapped afresh instead of joining the
+    // heap. Tags and ages are trivial types: access() assigns a row's
     // ways before it first reads them.
-    for (auto &s : sockets_)
-        s.ways.reset(static_cast<Way *>(
-            ::operator new(sizeof(Way) * size_t(kSets) * kWays)));
+    constexpr size_t kLines = size_t(kSets) * kWays;
+    for (auto &s : sockets_) {
+        s.block.reset(static_cast<std::byte *>(
+            ::operator new(kLines * (sizeof(Tag) + sizeof(int64_t)))));
+        s.tags = reinterpret_cast<Tag *>(s.block.get());
+        s.ages = reinterpret_cast<int64_t *>(s.block.get() +
+                                             kLines * sizeof(Tag));
+    }
 }
 
 void
@@ -54,25 +62,33 @@ LlcSim::setTotalAllocationMb(int mb)
     setWayMask((1u << waysForAllocationMb(mb)) - 1);
 }
 
+void
+LlcSim::refuseAddr(uint64_t addr)
+{
+    fatal("cache-model address " + std::to_string(addr) +
+          " is not below 2^51");
+}
+
 bool
 LlcSim::access(int socket, uint64_t addr, int cos)
 {
+    checkAddr(addr);
     ++accesses_;
     ++clock_;
     auto &cache = sockets_[socket & 1];
-    const uint64_t line = addr / kCacheLineSize;
-    const auto set = size_t(line % kSets);
-    Way *row = &cache.ways[set * kWays];
+    const size_t set = rowOf(addr);
+    Tag *tags = &cache.tags[set * kWays];
+    int64_t *ages = &cache.ages[set * kWays];
     if (!cache.live[set]) {
         // First touch of this row since construction or reset().
-        std::fill_n(row, kWays, Way{});
+        std::fill_n(tags, kWays, kEmptyTag);
+        std::fill_n(ages, kWays, kEmptyAge);
         cache.live[set] = true;
     }
     // Hit check across *all* ways: CAT restricts allocation, not
     // lookup. A miss fills into the oldest way allowed for this COS.
-    if (accessRow(row, kWays,
-                  cosMask_[cos & (kMaxCos - 1)], line / kSets,
-                  int64_t(clock_)))
+    if (accessRow(tags, ages, kWays, cosMask_[cos & (kMaxCos - 1)],
+                  Tag(addr / kCacheLineSize / kSets), int64_t(clock_)))
         return true;
     ++misses_;
     return false;
@@ -87,8 +103,9 @@ AccessTrace::replayMissRate(int llc_mb, WorkerPool *pool) const
     //    and recency is compared only within a row, so disjoint set
     //    ranges replay independently on the global clock i + 1;
     //  - under a contiguous low mask a fresh row only ever fills ways
-    //    0..ways-1; the rest keep the empty tag ~0, which no real tag
-    //    (addr >> 20 < 2^44) matches, so scanning `ways` ways suffices;
+    //    0..ways-1; the rest keep the empty tag, which no real tag
+    //    matches (AccessTrace::add keeps addresses below kAddrLimit),
+    //    so scanning `ways` ways suffices;
     //  - accessRow is the same policy code LlcSim::access runs.
     const int ways = LlcSim::waysForAllocationMb(llc_mb);
     const size_t n = addrs_.size();
@@ -101,24 +118,34 @@ AccessTrace::replayMissRate(int llc_mb, WorkerPool *pool) const
 
     // About two set ranges per worker, so a slow shard is not the
     // whole tail. Each shard gets private rows per socket over its set
-    // range: together at most one LlcSim's state, in pieces no larger
-    // than LlcSim's, so freeing them raises malloc's mmap threshold no
-    // higher than a serial replay through LlcSim did (a larger piece
-    // makes later allocations stay resident in the heap).
+    // range, `ways` ways each: together at most one LlcSim's state, in
+    // pieces no larger than LlcSim's blocks, so freeing them raises
+    // malloc's mmap threshold no higher than a serial replay through
+    // LlcSim did (a larger piece makes later allocations stay resident
+    // in the heap). accessRow reads tags in groups of kTagLanes, so
+    // each tag array carries kTagLanes - 1 padding tags past its last
+    // row; they stay empty.
     const size_t shards = pool ? 2 * size_t(pool->workers()) : 1;
     auto firstSet = [shards](size_t s) { return kSets * s / shards; };
-    std::vector<std::vector<LlcSim::Way>> rows(shards * kSockets);
+    std::vector<std::vector<LlcSim::Tag>> tags(shards * kSockets);
+    std::vector<std::vector<int64_t>> ages(shards * kSockets);
     for (size_t s = 0; s < shards; ++s)
-        for (size_t k = 0; k < kSockets; ++k)
-            rows[s * kSockets + k].resize(
-                (firstSet(s + 1) - firstSet(s)) * size_t(ways));
+        for (size_t k = 0; k < kSockets; ++k) {
+            const size_t lines = (firstSet(s + 1) - firstSet(s)) * size_t(ways);
+            tags[s * kSockets + k].assign(lines + LlcSim::kTagLanes - 1,
+                                          LlcSim::kEmptyTag);
+            ages[s * kSockets + k].assign(lines, LlcSim::kEmptyAge);
+        }
     std::vector<uint64_t> misses(shards, 0);
     auto replayShard = [&](size_t s) {
         const size_t lo = firstSet(s);
         const size_t span = firstSet(s + 1) - lo;
-        LlcSim::Way *base[kSockets];
-        for (size_t k = 0; k < kSockets; ++k)
-            base[k] = rows[s * kSockets + k].data();
+        LlcSim::Tag *tagBase[kSockets];
+        int64_t *ageBase[kSockets];
+        for (size_t k = 0; k < kSockets; ++k) {
+            tagBase[k] = tags[s * kSockets + k].data();
+            ageBase[k] = ages[s * kSockets + k].data();
+        }
         uint64_t m = 0;
         for (size_t i = 0; i < n; ++i) {
             const uint64_t addr = addrs_[i];
@@ -126,9 +153,10 @@ AccessTrace::replayMissRate(int llc_mb, WorkerPool *pool) const
             const auto set = size_t(line % kSets);
             if (set - lo >= span)
                 continue;
-            LlcSim::Way *row =
-                base[socketOfAddr(addr)] + (set - lo) * size_t(ways);
-            if (!LlcSim::accessRow(row, ways, mask, line / kSets,
+            const int k = socketOfAddr(addr);
+            const size_t first = (set - lo) * size_t(ways);
+            if (!LlcSim::accessRow(tagBase[k] + first, ageBase[k] + first,
+                                   ways, mask, LlcSim::Tag(line / kSets),
                                    int64_t(i + 1)) &&
                 i >= warm)
                 ++m;

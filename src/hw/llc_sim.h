@@ -10,17 +10,21 @@
  * splits the allocation equally between sockets, so the simulator
  * exposes a single mask applied to both sockets.
  *
- * Rows are emptied lazily: each (socket, set) row has a bit that says
- * whether it was emptied since construction or the last reset(), and
- * reset() just clears the bits. A run thus pays only for the rows it
- * touches, not for a 10.5 MB fill.
+ * A socket keeps its rows' 32-bit tags in one array and their 64-bit
+ * ages in another (7.5 MB for both sockets), so a hit reads one row's
+ * 80 B of tags and writes one age. Rows are emptied lazily: each
+ * (socket, set) row has a bit that says whether it was emptied since
+ * construction or the last reset(), and reset() just clears the bits.
+ * A run thus pays only for the rows it touches, not for a full fill.
  */
 
 #ifndef DBSENS_HW_LLC_SIM_H
 #define DBSENS_HW_LLC_SIM_H
 
 #include <bitset>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 
 #include "core/calibration.h"
@@ -96,59 +100,121 @@ class LlcSim
      */
     static constexpr uint64_t kInsertAge = 1u << 20;
 
-    struct Way
+    /** A line's tag, addr >> 20. */
+    using Tag = uint32_t;
+    /** Tag of an empty way; no address below kAddrLimit has it. */
+    static constexpr Tag kEmptyTag = ~Tag{0};
+    /** Age of an empty way: the most-preferred victim. Ages are
+     * signed so aged insertion stays ordered from clock zero. */
+    static constexpr int64_t kEmptyAge = INT64_MIN;
+    /**
+     * Cache-model addresses must lie below 2^51, so that a tag fits
+     * in 31 bits and never equals kEmptyTag. access() and
+     * AccessTrace::add refuse larger ones; VirtualSpace never hands
+     * them out.
+     */
+    static constexpr uint64_t kAddrLimit = 1ull << 51;
+    static_assert((kAddrLimit - 1) / (kCacheLineSize * uint64_t(kSets)) <
+                  kEmptyTag);
+
+    /** fatal() unless `addr` is below kAddrLimit. */
+    static void
+    checkAddr(uint64_t addr)
     {
-        uint64_t tag = ~uint64_t{0};
-        /** Signed so aged insertion stays ordered from clock zero;
-         * empty ways are the most-preferred victims. */
-        int64_t lastUse = INT64_MIN;
-    };
+        if (addr >= kAddrLimit) [[unlikely]]
+            refuseAddr(addr);
+    }
+
+    /** Tags accessRow compares at once; a row's tag array may be read
+     * up to kTagLanes - 1 tags past its end. */
+    static constexpr int kTagLanes = 4;
 
     /**
-     * The replacement policy of one (socket, set) row: look `tag` up in
-     * ways 0..nways-1 and stamp a hit with `clock`; on a miss, fill the
-     * oldest way `mask` allows with an aged stamp. The strict `<` keeps
-     * the lowest-numbered way on ties. Returns true on a hit.
+     * The replacement policy of one (socket, set) row of `nways` ways
+     * (at most 32): look `tag` up in tags[0..nways) and stamp a hit's
+     * age with `clock`; on a miss, fill the oldest way `mask` allows
+     * with an aged stamp. The strict `<` keeps the lowest-numbered way
+     * on ties. Returns true on a hit.
+     *
+     * The lookup compares kTagLanes tags per step without branches, so
+     * it reads tags up to the next multiple of kTagLanes: that padding
+     * must be readable, and any tag it holds is masked off.
      */
     static bool
-    accessRow(Way *row, int nways, uint32_t mask, uint64_t tag,
+    accessRow(Tag *tags, int64_t *ages, int nways, uint32_t mask, Tag tag,
               int64_t clock)
     {
-        for (int w = 0; w < nways; ++w) {
-            if (row[w].tag == tag) {
-                row[w].lastUse = clock;
-                return true;
-            }
+        typedef Tag Lanes __attribute__((vector_size(sizeof(Tag) * kTagLanes)));
+        const Lanes want = {tag, tag, tag, tag};
+        Lanes bits = {};
+        for (int w = 0; w < nways; w += kTagLanes) {
+            Lanes v;
+            std::memcpy(&v, tags + w, sizeof v);
+            bits |= Lanes(v == want) & (Lanes{1, 2, 4, 8} << w);
         }
+        const auto row = uint32_t((uint64_t{1} << nways) - 1);
+        // Tags are unique within a row, so at most one way matches.
+        const uint32_t hits = (bits[0] | bits[1] | bits[2] | bits[3]) & row;
+        if (hits) {
+            ages[__builtin_ctz(hits)] = clock;
+            return true;
+        }
+        // Selects rather than branches: which way is older is
+        // unpredictable, and a mispredict stalls the next access too.
         int victim = -1;
         int64_t oldest = INT64_MAX;
-        for (int w = 0; w < nways; ++w) {
-            if (!(mask & (1u << w)))
-                continue;
-            if (row[w].lastUse < oldest) {
-                oldest = row[w].lastUse;
-                victim = w;
-            }
+        for (uint32_t m = mask & row; m; m &= m - 1) {
+            const int w = __builtin_ctz(m);
+            const int64_t age = ages[w];
+            const bool older = age < oldest;
+            oldest = older ? age : oldest;
+            victim = older ? w : victim;
         }
-        row[victim].tag = tag;
-        row[victim].lastUse = clock - int64_t(kInsertAge);
+        tags[victim] = tag;
+        ages[victim] = clock - int64_t(kInsertAge);
         return false;
     }
 
+    /**
+     * Hint the host to fetch the row `addr` maps to on `socket` (both
+     * host lines of its 80 B of tags and the first line of its ages),
+     * so a later access() finds it in the host cache. Changes no state.
+     */
+    void
+    prefetch(int socket, uint64_t addr) const
+    {
+        const SocketCache &cache = sockets_[socket & 1];
+        const size_t first = rowOf(addr) * kWays;
+        __builtin_prefetch(&cache.tags[first]);
+        __builtin_prefetch(&cache.tags[first + kWays - 1]);
+        __builtin_prefetch(&cache.ages[first]);
+    }
+
   private:
+    [[noreturn]] static void refuseAddr(uint64_t addr);
+
     /** Frees raw storage whose rows are constructed on first touch. */
     struct RawDelete
     {
-        void operator()(Way *p) const { ::operator delete(p); }
+        void operator()(void *p) const { ::operator delete(p); }
     };
 
     struct SocketCache
     {
-        /** kSets * kWays, row-major by set; a row is valid only when
-         * its `live` bit is set. */
-        std::unique_ptr<Way[], RawDelete> ways;
+        /** One raw block: kSets * kWays tags, then as many ages, both
+         * row-major by set. A row is valid only when its `live` bit is
+         * set. */
+        std::unique_ptr<std::byte[], RawDelete> block;
+        Tag *tags = nullptr;
+        int64_t *ages = nullptr;
         std::bitset<kSets> live;
     };
+
+    static size_t
+    rowOf(uint64_t addr)
+    {
+        return size_t(addr / kCacheLineSize % kSets);
+    }
 
     SocketCache sockets_[calib::kSockets];
     uint32_t cosMask_[kMaxCos] = {(1u << kWays) - 1, (1u << kWays) - 1};

@@ -17,6 +17,7 @@
 #include <cstdint>
 
 #include "core/calibration.h"
+#include "hw/llc_sim.h"
 
 namespace dbsens {
 
@@ -71,7 +72,8 @@ class VirtualSpace
         return allocateFullScale(real_bytes * calib::kScaleK);
     }
 
-    /** Allocate a region already sized in full-scale bytes. */
+    /** Allocate a region already sized in full-scale bytes; every
+     * address in it must stay below LlcSim::kAddrLimit. */
     VirtualRegion
     allocateFullScale(uint64_t full_bytes)
     {
@@ -80,6 +82,7 @@ class VirtualSpace
         const uint64_t aligned = (full_bytes + 4095) & ~uint64_t{4095};
         VirtualRegion r{next_, aligned};
         next_ += aligned;
+        LlcSim::checkAddr(next_ - 1);
         return r;
     }
 

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "core/random.h"
@@ -18,6 +20,102 @@
 
 namespace dbsens {
 namespace {
+
+/**
+ * The LLC policy as it was with interleaved rows: each way a
+ * {64-bit tag, 64-bit lastUse} pair, matched one way at a time. Kept
+ * as the oracle LlcSim and the trace replay must equal bit for bit.
+ */
+class ReferenceLlc
+{
+  public:
+    struct Way
+    {
+        uint64_t tag = ~uint64_t{0};
+        int64_t lastUse = INT64_MIN;
+    };
+
+    static bool
+    accessRow(Way *row, int nways, uint32_t mask, uint64_t tag,
+              int64_t clock)
+    {
+        for (int w = 0; w < nways; ++w) {
+            if (row[w].tag == tag) {
+                row[w].lastUse = clock;
+                return true;
+            }
+        }
+        int victim = -1;
+        int64_t oldest = INT64_MAX;
+        for (int w = 0; w < nways; ++w) {
+            if (!(mask & (1u << w)))
+                continue;
+            if (row[w].lastUse < oldest) {
+                oldest = row[w].lastUse;
+                victim = w;
+            }
+        }
+        row[victim].tag = tag;
+        row[victim].lastUse = clock - int64_t(LlcSim::kInsertAge);
+        return false;
+    }
+
+    void
+    setWayMask(uint32_t mask)
+    {
+        for (int cos = 0; cos < LlcSim::kMaxCos; ++cos)
+            setCosWayMask(cos, mask);
+    }
+
+    void
+    setCosWayMask(int cos, uint32_t mask)
+    {
+        cosMask_[cos] = mask & ((1u << LlcSim::kWays) - 1);
+    }
+
+    void
+    setTotalAllocationMb(int mb)
+    {
+        setWayMask((1u << LlcSim::waysForAllocationMb(mb)) - 1);
+    }
+
+    bool
+    access(int socket, uint64_t addr, int cos = 0)
+    {
+        ++accesses_;
+        ++clock_;
+        const uint64_t line = addr / kCacheLineSize;
+        const auto set = size_t(line % LlcSim::kSets);
+        if (accessRow(&rows_[socket & 1][set * LlcSim::kWays],
+                      LlcSim::kWays, cosMask_[cos & 1],
+                      line / LlcSim::kSets, int64_t(clock_)))
+            return true;
+        ++misses_;
+        return false;
+    }
+
+    void
+    reset()
+    {
+        for (auto &r : rows_)
+            std::fill(r.begin(), r.end(), Way{});
+        clock_ = accesses_ = misses_ = 0;
+    }
+
+    void resetCounters() { accesses_ = misses_ = 0; }
+    uint64_t accesses() const { return accesses_; }
+    uint64_t misses() const { return misses_; }
+
+  private:
+    std::vector<Way> rows_[2] = {
+        std::vector<Way>(size_t(LlcSim::kSets) * LlcSim::kWays),
+        std::vector<Way>(size_t(LlcSim::kSets) * LlcSim::kWays)};
+    uint32_t cosMask_[LlcSim::kMaxCos] = {(1u << LlcSim::kWays) - 1,
+                                          (1u << LlcSim::kWays) - 1};
+    uint64_t clock_ = 0;
+    uint64_t accesses_ = 0;
+    uint64_t misses_ = 0;
+};
 
 TEST(LlcSim, GeometryMatchesPaperTestbed)
 {
@@ -256,15 +354,15 @@ TEST(AccessTrace, ReplayMissRateSeesLocality)
 // ------------------------------------------------------------ LlcReplay
 
 /**
- * The serial reference replay: every access through LlcSim::access on
- * one fresh simulator, counting misses past the first tenth.
+ * The serial reference replay: every access through ReferenceLlc on
+ * one fresh cache, counting misses past the first tenth.
  */
 double
 oracleMissRate(const std::vector<uint64_t> &addrs, int llc_mb)
 {
     if (addrs.empty())
         return 0.0;
-    LlcSim llc;
+    ReferenceLlc llc;
     llc.setTotalAllocationMb(llc_mb);
     const auto warm = size_t(double(addrs.size()) * 0.1);
     for (size_t i = 0; i < addrs.size(); ++i) {
@@ -313,45 +411,70 @@ lineAddr(uint64_t set, uint64_t tag)
     return (tag * uint64_t(LlcSim::kSets) + set) * 64;
 }
 
-TEST(LlcReplay, ZipfTraceMatchesOracleAtEveryAllocation)
+/** A 48 MB Zipf working set: misses fall along the whole ladder. */
+std::vector<uint64_t>
+zipfTrace()
 {
-    // A 48 MB Zipf working set: misses fall along the whole ladder.
     Rng rng(77);
     ZipfSampler zipf((48ull << 20) / 64, 0.8);
     std::vector<uint64_t> addrs;
     for (int i = 0; i < 120000; ++i)
         addrs.push_back(zipf(rng) * 64);
-    EXPECT_GT(oracleMissRate(addrs, 2), oracleMissRate(addrs, 40));
-    expectReplayMatchesOracle(addrs);
+    return addrs;
 }
 
-TEST(LlcReplay, StreamingTraceMatchesOracleAtEveryAllocation)
+/**
+ * Repeated scans over 256 sets spread across every shard's range;
+ * set s cycles through 1 + s % 24 tags, so each allocation sees a
+ * different mix of rows that fit and rows that thrash.
+ */
+std::vector<uint64_t>
+streamingTrace()
 {
-    // Repeated scans over 256 sets spread across every shard's range;
-    // set s cycles through 1 + s % 24 tags, so each allocation sees a
-    // different mix of rows that fit and rows that thrash.
     std::vector<uint64_t> addrs;
     for (int pass = 0; pass < 4; ++pass)
         for (uint64_t tag = 0; tag < 24; ++tag)
             for (uint64_t s = 0; s < 256; ++s)
                 if (tag <= s % 24)
                     addrs.push_back(lineAddr(s * 64, tag));
+    return addrs;
+}
+
+/**
+ * Zipf-hot 4 KB pages (consecutive pages alternate sockets) at random
+ * byte offsets, interleaved with arbitrary addresses below
+ * LlcSim::kAddrLimit: tags up to 2^31, on both sockets.
+ */
+std::vector<uint64_t>
+mixedSocketTrace()
+{
+    Rng rng(4242);
+    ZipfSampler pages(16384, 0.9);
+    std::vector<uint64_t> addrs;
+    for (int i = 0; i < 120000; ++i)
+        addrs.push_back(rng.uniform(4) == 0
+                            ? rng() >> 13
+                            : (pages(rng) << 12) | rng.uniform(4096));
+    return addrs;
+}
+
+TEST(LlcReplay, ZipfTraceMatchesOracleAtEveryAllocation)
+{
+    const std::vector<uint64_t> addrs = zipfTrace();
+    EXPECT_GT(oracleMissRate(addrs, 2), oracleMissRate(addrs, 40));
+    expectReplayMatchesOracle(addrs);
+}
+
+TEST(LlcReplay, StreamingTraceMatchesOracleAtEveryAllocation)
+{
+    const std::vector<uint64_t> addrs = streamingTrace();
     EXPECT_GT(oracleMissRate(addrs, 2), oracleMissRate(addrs, 40));
     expectReplayMatchesOracle(addrs);
 }
 
 TEST(LlcReplay, MixedSocketTraceMatchesOracleAtEveryAllocation)
 {
-    // Zipf-hot 4 KB pages (consecutive pages alternate sockets) at
-    // random byte offsets, interleaved with arbitrary 64-bit
-    // addresses: every tag below 2^44, on both sockets.
-    Rng rng(4242);
-    ZipfSampler pages(16384, 0.9);
-    std::vector<uint64_t> addrs;
-    for (int i = 0; i < 120000; ++i)
-        addrs.push_back(rng.uniform(4) == 0
-                            ? rng()
-                            : (pages(rng) << 12) | rng.uniform(4096));
+    const std::vector<uint64_t> addrs = mixedSocketTrace();
     int on_socket1 = 0;
     for (uint64_t a : addrs)
         on_socket1 += socketOfAddr(a);
@@ -359,6 +482,82 @@ TEST(LlcReplay, MixedSocketTraceMatchesOracleAtEveryAllocation)
     EXPECT_LT(on_socket1, 80000);
     EXPECT_GT(oracleMissRate(addrs, 2), oracleMissRate(addrs, 40));
     expectReplayMatchesOracle(addrs);
+}
+
+/**
+ * Hit (1) or miss (0) of every access of `addrs` through `llc`, set to
+ * `mb`: every fourth access runs under the other COS, and the masks
+ * change as the autopilot changes them. At a third of the trace COS
+ * `cos` keeps the low mask and the other COS gets the ways above it
+ * (or two of them at 40 MB); at half the cache resets; at two thirds
+ * the other COS gets the low mask back and COS `cos` shrinks to the
+ * lower half of it, so which way a fill took decides what survives.
+ */
+template <class Llc>
+std::vector<uint8_t>
+hitSequence(const std::vector<uint64_t> &addrs, int mb, int cos)
+{
+    constexpr uint32_t kAll = (1u << LlcSim::kWays) - 1;
+    const uint32_t low = (1u << LlcSim::waysForAllocationMb(mb)) - 1;
+    const size_t n = addrs.size();
+    Llc llc;
+    llc.setTotalAllocationMb(mb);
+    std::vector<uint8_t> hits(n);
+    for (size_t i = 0; i < n; ++i) {
+        if (i == n / 3) {
+            llc.setCosWayMask(cos, low);
+            llc.setCosWayMask(1 - cos, low == kAll ? 0x80001 : kAll & ~low);
+        } else if (i == n / 2) {
+            llc.reset();
+        } else if (i == 2 * n / 3) {
+            llc.setCosWayMask(1 - cos, low);
+            llc.setCosWayMask(cos, low >> __builtin_popcount(low) / 2);
+        }
+        const uint64_t a = addrs[i];
+        hits[i] = llc.access(socketOfAddr(a), a, i % 4 ? cos : 1 - cos);
+    }
+    return hits;
+}
+
+TEST(LlcSim, HitSequenceMatchesReferenceAtEveryAllocation)
+{
+    const std::vector<uint64_t> traces[] = {zipfTrace(), streamingTrace(),
+                                            mixedSocketTrace()};
+    for (const auto &addrs : traces) {
+        for (int mb = 2; mb <= 40; mb += 2) {
+            for (int cos = 0; cos < LlcSim::kMaxCos; ++cos) {
+                const auto want = hitSequence<ReferenceLlc>(addrs, mb, cos);
+                const auto got = hitSequence<LlcSim>(addrs, mb, cos);
+                ASSERT_EQ(got.size(), want.size());
+                EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size()),
+                          0)
+                    << addrs.size() << "-access trace, " << mb << " MB, COS "
+                    << cos;
+            }
+        }
+    }
+}
+
+TEST(LlcSim, RefusesAddressesFrom2Pow51)
+{
+    // The TSan job runs this test too; its runtime has a thread.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    LlcSim llc;
+    EXPECT_FALSE(llc.access(0, LlcSim::kAddrLimit - 1));
+    EXPECT_TRUE(llc.access(0, LlcSim::kAddrLimit - 1));
+    EXPECT_EXIT(llc.access(0, 1ull << 51), ::testing::ExitedWithCode(1),
+                "not below 2\\^51");
+    AccessTrace trace;
+    trace.add(LlcSim::kAddrLimit - 1);
+    EXPECT_EXIT(trace.add(1ull << 51), ::testing::ExitedWithCode(1),
+                "not below 2\\^51");
+    // VirtualSpace may hand out addresses up to the bound, not past it.
+    VirtualSpace vs;
+    const VirtualRegion r =
+        vs.allocateFullScale(LlcSim::kAddrLimit - vs.bytesAllocated());
+    EXPECT_EQ(r.base + r.size, LlcSim::kAddrLimit);
+    EXPECT_EXIT(vs.allocateFullScale(1), ::testing::ExitedWithCode(1),
+                "not below 2\\^51");
 }
 
 TEST(LlcReplay, WarmupEdgeCases)
@@ -400,6 +599,53 @@ TEST(CacheFeeds, LiveFeedCountsMisses)
     feed.touch(0x100);
     EXPECT_EQ(feed.accesses(), 2u);
     EXPECT_EQ(feed.misses(), 1u);
+}
+
+TEST(CacheFeeds, BatchedLiveFeedMatchesOneAtATime)
+{
+    // Batches of 1..9 addresses (Executor::touch sends 7, an index
+    // walk one per level) against the same addresses one at a time:
+    // the mixed-socket trace, then 40 tags crowding four rows on two
+    // sockets, so a batch often holds several lines of one row and a
+    // reordered batch would evict differently.
+    std::vector<uint64_t> addrs = mixedSocketTrace();
+    Rng rng(9);
+    for (int i = 0; i < 20000; ++i)
+        addrs.push_back(lineAddr(rng.uniform(2) + 64 * rng.uniform(2),
+                                 rng.uniform(40)));
+    LlcSim batchedLlc, singleLlc;
+    batchedLlc.setCosWayMask(1, 0xf0);
+    singleLlc.setCosWayMask(1, 0xf0);
+    LiveCacheFeed batched(batchedLlc, 1), single(singleLlc, 1);
+    std::vector<uint64_t> batchedMisses, singleMisses;
+    for (size_t i = 0, len = 1; i < addrs.size(); i += len, len = len % 9 + 1) {
+        const size_t end = std::min(addrs.size(), i + len);
+        batched.touch(std::span<const uint64_t>(&addrs[i], end - i));
+        for (size_t j = i; j < end; ++j)
+            single.touch(addrs[j]);
+        batchedMisses.push_back(batched.misses());
+        singleMisses.push_back(single.misses());
+    }
+    ASSERT_EQ(batchedMisses.size(), singleMisses.size());
+    EXPECT_EQ(std::memcmp(batchedMisses.data(), singleMisses.data(),
+                          batchedMisses.size() * sizeof(uint64_t)),
+              0);
+    EXPECT_EQ(batched.accesses(), addrs.size());
+    EXPECT_EQ(single.accesses(), addrs.size());
+    EXPECT_EQ(batchedLlc.accesses(), singleLlc.accesses());
+    EXPECT_EQ(batchedLlc.misses(), singleLlc.misses());
+    // Both caches hold the same lines at the same ages.
+    EXPECT_EQ(runStream(batchedLlc, 7, 1), runStream(singleLlc, 7, 1));
+
+    // Feeds without an override touch each address in order.
+    NullCacheFeed null;
+    null.touch(std::span<const uint64_t>(addrs.data(), 5));
+    EXPECT_EQ(null.accesses(), 5u);
+    AccessTrace trace;
+    RecordingFeed recording(trace);
+    recording.touch(std::span<const uint64_t>(addrs.data(), 5));
+    EXPECT_EQ(trace.addrs(),
+              std::vector<uint64_t>(addrs.begin(), addrs.begin() + 5));
 }
 
 TEST(CacheFeeds, NullFeedOnlyCounts)
