@@ -465,8 +465,9 @@ TEST(ResilEndToEnd, SameSeedIncidentDigestIsBitIdentical)
     RunConfig other = cfg;
     other.seed = cfg.seed + 17;
     const OltpRunResult c = runOltp(wl, other);
-    if (c.resil.transitions.size() != a.resil.transitions.size())
+    if (c.resil.transitions.size() != a.resil.transitions.size()) {
         EXPECT_NE(c.resil.incidentDigest, a.resil.incidentDigest);
+    }
 }
 
 // -------------------------------------- chaos tuning-plus-faults mode
