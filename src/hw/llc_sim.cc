@@ -11,11 +11,11 @@ namespace dbsens {
 
 LlcSim::LlcSim()
 {
-    // One block per socket, as when each way was an interleaved tag
-    // and age: freeing it lifts malloc's mmap threshold to its size, so
-    // the next LlcSim's blocks are mapped afresh instead of joining the
-    // heap. Tags and ages are trivial types: access() assigns a row's
-    // ways before it first reads them.
+    // One block per socket for tags and ages: freeing a block lifts
+    // malloc's mmap threshold to its size, so with a separate, smaller
+    // tag block the next LlcSim's tags would join the heap instead of
+    // being mapped afresh. Tags and ages are trivial types: access()
+    // assigns a row's ways before it first reads them.
     constexpr size_t kLines = size_t(kSets) * kWays;
     for (auto &s : sockets_) {
         s.block.reset(static_cast<std::byte *>(
