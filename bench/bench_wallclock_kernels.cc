@@ -16,9 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <bitset>
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -27,6 +25,7 @@
 #include "exec/flat_hash.h"
 #include "exec/morsel.h"
 #include "hw/cache_feed.h"
+#include "reference_llc.h"
 #include "wallclock_params.h"
 
 namespace dbsens {
@@ -566,76 +565,8 @@ replayTrace()
 }
 
 /**
- * The LLC as it was before its tags and ages were split: each way an
- * interleaved {64-bit tag, 64-bit lastUse} pair, matched one way at a
- * time, rows emptied on first touch, access() out of line. Both LLC
- * ratios divide by a loop over it, so neither moves when LlcSim does.
- */
-class InterleavedLlc
-{
-  public:
-    explicit InterleavedLlc(int mb)
-        : mask_((1u << LlcSim::waysForAllocationMb(mb)) - 1)
-    {
-        for (auto &w : ways_)
-            w.reset(static_cast<Way *>(::operator new(sizeof(Way) * kLines)));
-    }
-
-    __attribute__((noinline)) bool
-    access(int socket, uint64_t addr)
-    {
-        const uint64_t line = addr / kCacheLineSize;
-        const auto set = size_t(line % LlcSim::kSets);
-        Way *row = &ways_[socket & 1][set * LlcSim::kWays];
-        if (!live_[socket & 1][set]) {
-            std::fill_n(row, LlcSim::kWays, Way{});
-            live_[socket & 1][set] = true;
-        }
-        const uint64_t tag = line / LlcSim::kSets;
-        ++clock_;
-        for (int w = 0; w < LlcSim::kWays; ++w) {
-            if (row[w].tag == tag) {
-                row[w].lastUse = clock_;
-                return true;
-            }
-        }
-        int victim = -1;
-        int64_t oldest = INT64_MAX;
-        for (int w = 0; w < LlcSim::kWays; ++w) {
-            if (!(mask_ & (1u << w)))
-                continue;
-            if (row[w].lastUse < oldest) {
-                oldest = row[w].lastUse;
-                victim = w;
-            }
-        }
-        row[victim].tag = tag;
-        row[victim].lastUse = clock_ - int64_t(LlcSim::kInsertAge);
-        return false;
-    }
-
-  private:
-    struct Way
-    {
-        uint64_t tag = ~uint64_t{0};
-        int64_t lastUse = INT64_MIN;
-    };
-    struct RawDelete
-    {
-        void operator()(Way *p) const { ::operator delete(p); }
-    };
-    static constexpr size_t kLines = size_t(LlcSim::kSets) * LlcSim::kWays;
-
-    std::unique_ptr<Way[], RawDelete> ways_[2];
-    std::bitset<LlcSim::kSets> live_[2];
-    uint32_t mask_;
-    int64_t clock_ = 0;
-};
-
-/**
  * Miss rate past the first tenth of replayTrace() through a fresh
- * `Llc` per allocation, summed over kReplayMb; `Llc` is built from the
- * allocation in MB.
+ * `Llc` per allocation, summed over kReplayMb.
  */
 template <class Llc>
 void
@@ -647,7 +578,8 @@ accessLoop(benchmark::State &state)
     for (auto _ : state) {
         sum = 0;
         for (int mb : kReplayMb) {
-            Llc llc(mb);
+            Llc llc;
+            llc.setTotalAllocationMb(mb);
             uint64_t misses = 0;
             for (size_t i = 0; i < addrs.size(); ++i)
                 if (!llc.access(socketOfAddr(addrs[i]), addrs[i]) &&
@@ -662,17 +594,11 @@ accessLoop(benchmark::State &state)
     state.counters["miss_rate_sum"] = sum;
 }
 
-/** LlcSim set to an allocation in MB. */
-struct SizedLlcSim : LlcSim
-{
-    explicit SizedLlcSim(int mb) { setTotalAllocationMb(mb); }
-};
-
 /** Reference: every access through the interleaved-row LLC. */
 void
 BM_LlcReplayRef(benchmark::State &state)
 {
-    accessLoop<InterleavedLlc>(state);
+    accessLoop<ReferenceLlc>(state);
 }
 BENCHMARK(BM_LlcReplayRef)->Repetitions(3);
 
@@ -680,7 +606,7 @@ BENCHMARK(BM_LlcReplayRef)->Repetitions(3);
 void
 BM_LlcAccess(benchmark::State &state)
 {
-    accessLoop<SizedLlcSim>(state);
+    accessLoop<LlcSim>(state);
 }
 BENCHMARK(BM_LlcAccess)->Repetitions(3);
 

@@ -17,105 +17,10 @@
 #include "hw/cache_feed.h"
 #include "hw/llc_sim.h"
 #include "hw/virtual_space.h"
+#include "reference_llc.h"
 
 namespace dbsens {
 namespace {
-
-/**
- * The LLC policy as it was with interleaved rows: each way a
- * {64-bit tag, 64-bit lastUse} pair, matched one way at a time. Kept
- * as the oracle LlcSim and the trace replay must equal bit for bit.
- */
-class ReferenceLlc
-{
-  public:
-    struct Way
-    {
-        uint64_t tag = ~uint64_t{0};
-        int64_t lastUse = INT64_MIN;
-    };
-
-    static bool
-    accessRow(Way *row, int nways, uint32_t mask, uint64_t tag,
-              int64_t clock)
-    {
-        for (int w = 0; w < nways; ++w) {
-            if (row[w].tag == tag) {
-                row[w].lastUse = clock;
-                return true;
-            }
-        }
-        int victim = -1;
-        int64_t oldest = INT64_MAX;
-        for (int w = 0; w < nways; ++w) {
-            if (!(mask & (1u << w)))
-                continue;
-            if (row[w].lastUse < oldest) {
-                oldest = row[w].lastUse;
-                victim = w;
-            }
-        }
-        row[victim].tag = tag;
-        row[victim].lastUse = clock - int64_t(LlcSim::kInsertAge);
-        return false;
-    }
-
-    void
-    setWayMask(uint32_t mask)
-    {
-        for (int cos = 0; cos < LlcSim::kMaxCos; ++cos)
-            setCosWayMask(cos, mask);
-    }
-
-    void
-    setCosWayMask(int cos, uint32_t mask)
-    {
-        cosMask_[cos] = mask & ((1u << LlcSim::kWays) - 1);
-    }
-
-    void
-    setTotalAllocationMb(int mb)
-    {
-        setWayMask((1u << LlcSim::waysForAllocationMb(mb)) - 1);
-    }
-
-    bool
-    access(int socket, uint64_t addr, int cos = 0)
-    {
-        ++accesses_;
-        ++clock_;
-        const uint64_t line = addr / kCacheLineSize;
-        const auto set = size_t(line % LlcSim::kSets);
-        if (accessRow(&rows_[socket & 1][set * LlcSim::kWays],
-                      LlcSim::kWays, cosMask_[cos & 1],
-                      line / LlcSim::kSets, int64_t(clock_)))
-            return true;
-        ++misses_;
-        return false;
-    }
-
-    void
-    reset()
-    {
-        for (auto &r : rows_)
-            std::fill(r.begin(), r.end(), Way{});
-        clock_ = accesses_ = misses_ = 0;
-    }
-
-    void resetCounters() { accesses_ = misses_ = 0; }
-    uint64_t accesses() const { return accesses_; }
-    uint64_t misses() const { return misses_; }
-
-  private:
-    std::vector<Way> rows_[2] = {
-        std::vector<Way>(size_t(LlcSim::kSets) * LlcSim::kWays),
-        std::vector<Way>(size_t(LlcSim::kSets) * LlcSim::kWays)};
-    uint32_t cosMask_[LlcSim::kMaxCos] = {(1u << LlcSim::kWays) - 1,
-                                          (1u << LlcSim::kWays) - 1};
-    uint64_t clock_ = 0;
-    uint64_t accesses_ = 0;
-    uint64_t misses_ = 0;
-};
 
 TEST(LlcSim, GeometryMatchesPaperTestbed)
 {
@@ -540,7 +445,9 @@ TEST(LlcSim, HitSequenceMatchesReferenceAtEveryAllocation)
 
 TEST(LlcSim, RefusesAddressesFrom2Pow51)
 {
-    // The TSan job runs this test too; its runtime has a thread.
+    // The TSan job runs this test too; its runtime has a thread. Each
+    // gtest Test saves every flag on construction and restores it on
+    // destruction, so the style reverts when this test ends.
     ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
     LlcSim llc;
     EXPECT_FALSE(llc.access(0, LlcSim::kAddrLimit - 1));
@@ -603,11 +510,11 @@ TEST(CacheFeeds, LiveFeedCountsMisses)
 
 TEST(CacheFeeds, BatchedLiveFeedMatchesOneAtATime)
 {
-    // Batches of 1..9 addresses (Executor::touch sends 7, an index
-    // walk one per level) against the same addresses one at a time:
-    // the mixed-socket trace, then 40 tags crowding four rows on two
-    // sockets, so a batch often holds several lines of one row and a
-    // reordered batch would evict differently.
+    // Batches of 1..9 addresses (Executor::touch sends 7) against the
+    // same addresses one at a time: the mixed-socket trace, then 40
+    // tags crowding four rows on two sockets, so a batch often holds
+    // several lines of one row and a reordered batch would evict
+    // differently.
     std::vector<uint64_t> addrs = mixedSocketTrace();
     Rng rng(9);
     for (int i = 0; i < 20000; ++i)

@@ -33,9 +33,9 @@ def in_run_ratios(doc):
     put("hash_join_flat", cur["hash_join_ref_ms"],
         cur["hash_join_flat_ms"])
     # Serial LLC trace replay, and the same per-access loop through
-    # LlcSim::access, against a per-access loop over the bench's copy
-    # of the interleaved-row LLC: all single-threaded, so the ratios do
-    # not depend on the core count.
+    # LlcSim::access, against a per-access loop over the interleaved-row
+    # LLC of bench/reference_llc.h: all single-threaded, so the ratios
+    # do not depend on the core count.
     put("llc_replay", cur.get("llc_replay_ref_ms", 0),
         cur.get("llc_replay_ms", 0))
     put("llc_access", cur.get("llc_replay_ref_ms", 0),
