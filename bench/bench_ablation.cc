@@ -21,31 +21,29 @@ namespace {
 
 using namespace dbsens;
 
-/** Replay a trace against an LLC with a selectable insertion age. */
+/**
+ * Miss rate of a trace's line addresses against an LLC that emulates
+ * plain LRU: the production LlcSim uses aged insertion, so touch every
+ * access twice. The re-touch hits the line just filled and promotes
+ * it, so no line keeps its aged insertion stamp (no scan resistance).
+ * Only the first touch counts toward the miss rate.
+ */
 double
-missRateWithPolicy(const AccessTrace &trace, int llc_mb, bool aged)
+lruLikeMissRate(const std::vector<uint64_t> &lines, int llc_mb)
 {
-    // The production LlcSim uses aged insertion. Emulate plain LRU with
-    // the same simulator by touching every access twice: the re-touch
-    // hits the line just filled and promotes it, so no line keeps its
-    // aged insertion stamp (no scan resistance). Only the first touch
-    // counts toward the miss rate.
-    if (aged)
-        return trace.replayMissRate(llc_mb);
     LlcSim llc;
     llc.setTotalAllocationMb(llc_mb);
     uint64_t miss = 0, n = 0;
-    const auto &addrs = trace.addrs();
-    const size_t warm = addrs.size() / 10;
-    for (size_t i = 0; i < addrs.size(); ++i) {
+    const size_t warm = lines.size() / 10;
+    for (size_t i = 0; i < lines.size(); ++i) {
         if (i == warm) {
             miss = 0;
             n = 0;
         }
-        const int s = socketOfAddr(addrs[i]);
-        if (!llc.access(s, addrs[i]))
+        const int s = socketOfAddr(lines[i]);
+        if (!llc.access(s, lines[i]))
             ++miss;
-        llc.access(s, addrs[i]); // immediate re-touch => LRU-like
+        llc.access(s, lines[i]); // immediate re-touch => LRU-like
         ++n;
     }
     return n ? double(miss) / double(n) : 0;
@@ -65,15 +63,15 @@ main(int argc, char **argv)
     banner("A1/A2: LLC insertion policy and CAT masks (TPC-H SF=30)");
     {
         TpchDriver driver(30);
-        const AccessTrace &trace = driver.trace();
+        const std::vector<uint64_t> lines = driver.trace().lineAddrs();
         TablePrinter t({"LLC MB", "miss (scan-resistant)",
                         "miss (LRU-like)"});
         double last_aged = 1.0;
         bool monotone = true;
         Json points = Json::array();
         for (int mb : {2, 6, 12, 20, 40}) {
-            const double aged = missRateWithPolicy(trace, mb, true);
-            const double lru = missRateWithPolicy(trace, mb, false);
+            const double aged = driver.missRate(mb);
+            const double lru = lruLikeMissRate(lines, mb);
             t.row().cell(mb).cell(aged, 3).cell(lru, 3);
             if (aged > last_aged + 0.02)
                 monotone = false;

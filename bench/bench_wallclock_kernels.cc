@@ -540,6 +540,12 @@ BENCHMARK(BM_HashJoinMorsel)->Arg(1)->Arg(2)->Arg(4)->Repetitions(3);
 
 // ----------------------------------------------------------- LLC replay
 
+/**
+ * Repetitions of each LLC benchmark. Their ratios divide by the fastest
+ * repetition of BM_LlcReplayRef, which swung 1.6x at 3 repetitions.
+ */
+constexpr int kLlcRepetitions = 9;
+
 /** The CAT allocations bench/e2e's tpch_sf300 replays, in its order. */
 constexpr int kReplayMb[] = {40, 2, 20};
 
@@ -600,7 +606,7 @@ BM_LlcReplayRef(benchmark::State &state)
 {
     accessLoop<ReferenceLlc>(state);
 }
-BENCHMARK(BM_LlcReplayRef)->Repetitions(3);
+BENCHMARK(BM_LlcReplayRef)->Repetitions(kLlcRepetitions);
 
 /** The same loop through LlcSim::access, the live feed's path. */
 void
@@ -608,15 +614,16 @@ BM_LlcAccess(benchmark::State &state)
 {
     accessLoop<LlcSim>(state);
 }
-BENCHMARK(BM_LlcAccess)->Repetitions(3);
+BENCHMARK(BM_LlcAccess)->Repetitions(kLlcRepetitions);
 
-/** AccessTrace::replayMissRate, serial (no pool), same allocations. */
+/** ShardedTrace::replayMissRate, serial (no pool), same allocations. */
 void
 BM_LlcReplay(benchmark::State &state)
 {
-    AccessTrace trace(kRows + 1);
+    AccessTrace recorded(kRows + 1);
     for (uint64_t a : replayTrace())
-        trace.add(a);
+        recorded.add(a);
+    const ShardedTrace trace(std::move(recorded));
     double sum = 0;
     for (auto _ : state) {
         sum = 0;
@@ -628,7 +635,7 @@ BM_LlcReplay(benchmark::State &state)
                             int64_t(kRows * std::size(kReplayMb)));
     state.counters["miss_rate_sum"] = sum;
 }
-BENCHMARK(BM_LlcReplay)->Repetitions(3);
+BENCHMARK(BM_LlcReplay)->Repetitions(kLlcRepetitions);
 
 } // namespace
 } // namespace dbsens

@@ -70,9 +70,10 @@ main()
 
     // 4. Profile once, then replay the profile under two resource
     //    configurations on the simulated server.
-    AccessTrace trace;
-    RecordingFeed feed(trace);
+    AccessTrace recorded;
+    RecordingFeed feed(recorded);
     const auto pq = profileQuery(db, *plan, ocfg, nullptr, &feed);
+    const ShardedTrace trace(std::move(recorded));
     auto time_with = [&](int cores, int llc_mb) {
         RunConfig cfg;
         cfg.cores = cores;

@@ -197,7 +197,7 @@ ClusterNode::restart()
         drec.kind = WalRecord::Kind::Decision;
         drec.gtid = gtid;
         for (int n : parts)
-            drec.rowImage.push_back(Value(int64_t(n)));
+            drec.rowImage.emplace_back(int64_t(n));
         run_->wal.logJournalOnly(std::move(drec));
         bytes += oltpcost::kLogBytesPrepare;
     }
@@ -340,7 +340,7 @@ ClusterNode::coordinate(uint64_t gtid)
         rec.gtid = gtid;
         std::vector<int> parts;
         for (const BranchSpec &br : c.branches) {
-            rec.rowImage.push_back(Value(int64_t(br.node)));
+            rec.rowImage.emplace_back(int64_t(br.node));
             parts.push_back(br.node);
         }
         const uint64_t lsn =

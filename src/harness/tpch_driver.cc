@@ -38,7 +38,8 @@ TpchDriver::steadyStatePass()
     VirtualSpace &space = db_->space();
     space.sharedWorkBuf(Executor::kWorkBufBytes);
     const uint64_t temps_begin = space.bytesAllocated();
-    RecordingFeed feed(trace_);
+    AccessTrace recorded;
+    RecordingFeed feed(recorded);
     std::vector<ProfiledQuery> pqs;
     std::vector<PageLog> logs(tpch::kQueryCount);
     for (int q = 1; q <= tpch::kQueryCount; ++q)
@@ -47,11 +48,12 @@ TpchDriver::steadyStatePass()
                                    &logs[size_t(q - 1)], &feed));
     // A warm-up execution would have bump-allocated the same hash and
     // aggregate regions first, so the accounted one's sit exactly one
-    // pass's allocation higher: move the trace there and skip the
-    // space past both.
+    // pass's allocation higher: move the trace there as it is sealed
+    // for replay, and skip the space past both.
     const uint64_t temps_end = space.bytesAllocated();
     const uint64_t temps = temps_end - temps_begin;
-    trace_.relocate(temps_begin, temps_end, temps);
+    trace_ = ShardedTrace(std::move(recorded), &replayPool_,
+                          {temps_begin, temps_end, temps});
     if (temps > 0)
         space.allocateFullScale(temps);
 

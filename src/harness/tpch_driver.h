@@ -67,8 +67,8 @@ class TpchDriver
      */
     double missRate(int llc_mb);
 
-    /** The steady-state pass's recorded workload trace. */
-    const AccessTrace &trace() const { return trace_; }
+    /** The steady-state pass's workload trace, sealed for replay. */
+    const ShardedTrace &trace() const { return trace_; }
 
     /** Sampled cache touches per 1000 instructions (workload-level). */
     double touchesPerKiloInstr();
@@ -100,7 +100,7 @@ class TpchDriver
     int sf_;
     std::unique_ptr<Database> db_;
     std::unique_ptr<ProfilingEnv> env_;
-    AccessTrace trace_;
+    ShardedTrace trace_;
     double profiledInstr_ = 0;
     std::map<std::string, ProfiledQuery> profilesBySig_;
     std::map<std::pair<int, int>, const ProfiledQuery *> byQueryDop_;

@@ -12,14 +12,17 @@
  *    per-burst miss counts set the burst's stall time.
  *
  *  - RecordingFeed: appends to an AccessTrace; used when profiling
- *    analytical queries once, so that core/cache sweeps can replay the
- *    trace against any CAT allocation without re-executing the query.
+ *    analytical queries once. The trace is then sealed into a
+ *    ShardedTrace, so that core/cache sweeps can replay it against
+ *    any CAT allocation without re-executing the query.
  */
 
 #ifndef DBSENS_HW_CACHE_FEED_H
 #define DBSENS_HW_CACHE_FEED_H
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -122,12 +125,17 @@ class LiveCacheFeed final : public CacheFeed
  * A recorded sampled-access trace. To bound memory, recording keeps
  * every k-th access once the trace exceeds a cap, doubling k each
  * time; `keepRatio()` reports the retained fraction so replays can
- * scale counts back up.
+ * scale counts back up. An AccessTrace only records: seal it into a
+ * ShardedTrace to replay it.
  */
 class AccessTrace
 {
   public:
-    explicit AccessTrace(size_t cap = 1u << 24) : cap_(cap) {}
+    /** The largest cap: a sealed entry keeps the index in 24 bits. */
+    static constexpr size_t kMaxCap = size_t{1} << 24;
+
+    /** fatal() unless `cap` is at most kMaxCap. */
+    explicit AccessTrace(size_t cap = kMaxCap);
 
     /** Record one access; `addr` must be below LlcSim::kAddrLimit. */
     void
@@ -145,21 +153,8 @@ class AccessTrace
     /** Total accesses observed (before downsampling). */
     uint64_t total() const { return total_; }
 
-    /** Retained addresses. */
+    /** Retained addresses; fewer than the cap. */
     const std::vector<uint64_t> &addrs() const { return addrs_; }
-
-    /**
-     * Move every retained address in [lo, hi) up by `delta` (the
-     * steady-state pass relocates its temp regions; see
-     * TpchDriver::steadyStatePass).
-     */
-    void
-    relocate(uint64_t lo, uint64_t hi, uint64_t delta)
-    {
-        for (uint64_t &a : addrs_)
-            if (a >= lo && a < hi)
-                a += delta;
-    }
 
     /** Fraction of observed accesses retained. */
     double
@@ -168,17 +163,9 @@ class AccessTrace
         return total_ ? double(addrs_.size()) / double(total_) : 1.0;
     }
 
-    /**
-     * Replay into a fresh LLC at a total CAT allocation of `llc_mb`
-     * (LlcSim::setTotalAllocationMb) and return the miss *rate*
-     * (misses per access); the first tenth of the trace primes the
-     * cache without counting. With a pool, disjoint set ranges replay
-     * in parallel; the result is identical for any pool, or none.
-     * Defined in llc_sim.cc.
-     */
-    double replayMissRate(int llc_mb, WorkerPool *pool = nullptr) const;
-
   private:
+    friend class ShardedTrace;
+
     void
     thin()
     {
@@ -195,6 +182,100 @@ class AccessTrace
     uint64_t stride_ = 1;
     uint64_t total_ = 0;
     std::vector<uint64_t> addrs_;
+};
+
+/**
+ * An AccessTrace sealed for replay. Its accesses are sorted, stably,
+ * into kShards fixed ranges of kShardSets LLC sets each, so a range
+ * replays from its own entries alone. An entry is one 8-byte word:
+ * the trace index in bits 0-23 (AccessTrace::kMaxCap), the set's
+ * offset in its range in bits 24-31 and the tag (addr >> 20, below
+ * 2^31 by LlcSim::kAddrLimit) in bits 32-62. A set fixes its socket,
+ * since set bit 6 is address bit 12 (socketOfAddr), so a range keeps
+ * one row per set. The byte offset within a line is dropped: the LLC
+ * model sees only lines.
+ */
+class ShardedTrace
+{
+  public:
+    static constexpr size_t kShardSets = 256;
+    static constexpr size_t kShards = size_t(LlcSim::kSets) / kShardSets;
+
+    /**
+     * Addresses in [lo, hi) move up by `delta` as a trace is sealed;
+     * `{}` moves none.
+     */
+    struct Relocation
+    {
+        uint64_t lo, hi, delta;
+    };
+
+    ShardedTrace() = default;
+
+    /**
+     * Seal `trace`, relocating its addresses by `moved`; `trace` is
+     * left with no retained addresses. The counting sort runs on
+     * `pool` if one is given; the result is the same for any pool, or
+     * none. fatal() if a relocated address reaches LlcSim::kAddrLimit.
+     */
+    explicit ShardedTrace(AccessTrace &&trace, WorkerPool *pool = nullptr,
+                          Relocation moved = {});
+
+    /** Total accesses the trace observed (before downsampling). */
+    uint64_t total() const { return total_; }
+
+    /** The retained accesses' line addresses, in trace order. */
+    std::vector<uint64_t> lineAddrs() const;
+
+    /**
+     * Replay into a fresh LLC at a total CAT allocation of `llc_mb`
+     * (LlcSim::setTotalAllocationMb) and return the miss *rate*
+     * (misses per access); the first tenth of the trace primes the
+     * cache without counting. With a pool, the shards replay in
+     * parallel; the result is identical for any pool, or none.
+     */
+    double replayMissRate(int llc_mb, WorkerPool *pool = nullptr) const;
+
+    /** The shard of the set `addr` maps to. */
+    static size_t
+    shardOf(uint64_t addr)
+    {
+        return size_t(addr / kCacheLineSize % LlcSim::kSets) / kShardSets;
+    }
+
+    /** The entry of access `index` at `addr` (below kAddrLimit). */
+    static uint64_t
+    pack(size_t index, uint64_t addr)
+    {
+        const uint64_t line = addr / kCacheLineSize;
+        const uint64_t offset = line % LlcSim::kSets % kShardSets;
+        return (line / LlcSim::kSets) << 32 | offset << 24 | index;
+    }
+
+    /** The trace index of an entry. */
+    static size_t indexOf(uint64_t entry) { return entry & kIndexMask; }
+
+    /** The line address of an entry in shard `shard`. */
+    static uint64_t
+    lineAddrOf(uint64_t entry, size_t shard)
+    {
+        const uint64_t set = shard * kShardSets + (entry >> 24 & 0xff);
+        return ((entry >> 32) * LlcSim::kSets + set) * kCacheLineSize;
+    }
+
+  private:
+    static constexpr uint64_t kIndexMask = AccessTrace::kMaxCap - 1;
+    static_assert(kShards * kShardSets == size_t(LlcSim::kSets) &&
+                  kShardSets == 256);
+    static_assert((LlcSim::kAddrLimit - 1) / kCacheLineSize / LlcSim::kSets <
+                  1ull << 31);
+
+    uint64_t total_ = 0;
+    size_t size_ = 0;
+    /** Entries by shard; within a shard, in trace order. */
+    std::unique_ptr<uint64_t[]> entries_;
+    /** Shard s holds entries_[first_[s], first_[s + 1]). */
+    std::array<size_t, kShards + 1> first_{};
 };
 
 /** Feed that records into an AccessTrace. */

@@ -75,8 +75,14 @@ class LlcSim
      * Simulate one line access on a socket under a COS. Returns true
      * on hit. Misses allocate into the LRU way among the COS's
      * allowed ways.
+     *
+     * The live feed's hottest function: it starts on a host cache
+     * line, so its loops sit at the same offsets whatever code the
+     * linker places before it (unpinned, a change elsewhere in the
+     * library moved htap's wall time by 3%).
      */
-    bool access(int socket, uint64_t addr, int cos = 0);
+    __attribute__((aligned(64))) bool access(int socket, uint64_t addr,
+                                             int cos = 0);
 
     /** Flush all contents (the paper reboots between sweeps). */
     void reset();

@@ -191,10 +191,9 @@ padToRow(Database::Table &t, RowId r)
     filler.reserve(t.data->schema().columnCount());
     for (const ColumnDef &c : t.data->schema().columns()) {
         switch (c.type) {
-          case TypeId::Int64: filler.push_back(Value(int64_t(0))); break;
-          case TypeId::Double: filler.push_back(Value(0.0)); break;
-          case TypeId::String: filler.push_back(Value(std::string()));
-            break;
+          case TypeId::Int64: filler.emplace_back(int64_t(0)); break;
+          case TypeId::Double: filler.emplace_back(0.0); break;
+          case TypeId::String: filler.emplace_back(std::string()); break;
         }
     }
     while (t.data->rowCount() <= r) {

@@ -248,12 +248,23 @@ TEST(AccessTrace, ReplayMissRateSeesLocality)
     for (int rep = 0; rep < 100; ++rep)
         for (uint64_t i = 0; i < 100; ++i)
             hot.add(i * 64);
-    EXPECT_LT(hot.replayMissRate(40), 0.05);
+    EXPECT_LT(ShardedTrace(std::move(hot)).replayMissRate(40), 0.05);
 
     AccessTrace streaming;
     for (uint64_t i = 0; i < 100000; ++i)
         streaming.add(i * 64 * 131); // distinct lines
-    EXPECT_GT(streaming.replayMissRate(40), 0.9);
+    EXPECT_GT(ShardedTrace(std::move(streaming)).replayMissRate(40), 0.9);
+}
+
+TEST(AccessTrace, RefusesCapsAbove2Pow24)
+{
+    // See LlcSim.RefusesAddressesFrom2Pow51 for the style.
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    AccessTrace largest(AccessTrace::kMaxCap);
+    largest.add(64);
+    EXPECT_EQ(largest.addrs().size(), 1u);
+    EXPECT_EXIT(AccessTrace(AccessTrace::kMaxCap + 1),
+                ::testing::ExitedWithCode(1), "above 2\\^24");
 }
 
 // ------------------------------------------------------------ LlcReplay
@@ -284,26 +295,44 @@ sameBits(double a, double b)
     return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
+/** `addrs` with every byte offset within a line dropped. */
+std::vector<uint64_t>
+linesOf(std::vector<uint64_t> addrs)
+{
+    for (uint64_t &a : addrs)
+        a &= ~uint64_t(63);
+    return addrs;
+}
+
 /**
- * Replay `addrs` at every ladder allocation serially and on pools of
- * 1-4 workers (3 gives uneven set ranges); each result must equal the
- * oracle's bit for bit.
+ * Seal `addrs` serially and on pools of 1-4 workers (3 gives uneven
+ * sort chunks), then replay each sealed trace on the pool that sealed
+ * it at every ladder allocation; each result must equal the oracle's
+ * bit for bit.
  */
 void
 expectReplayMatchesOracle(const std::vector<uint64_t> &addrs)
 {
-    AccessTrace trace(addrs.size() + 1); // above the cap: no thinning
-    for (uint64_t a : addrs)
-        trace.add(a);
-    ASSERT_EQ(trace.addrs(), addrs);
     WorkerPool p1(1), p2(2), p3(3), p4(4);
     WorkerPool *const pools[] = {nullptr, &p1, &p2, &p3, &p4};
+    std::vector<ShardedTrace> sealed;
+    for (WorkerPool *pool : pools) {
+        AccessTrace trace(addrs.size() + 1); // above the cap: no thinning
+        for (uint64_t a : addrs)
+            trace.add(a);
+        ASSERT_EQ(trace.addrs(), addrs);
+        sealed.emplace_back(std::move(trace), pool);
+        EXPECT_TRUE(trace.addrs().empty());
+        EXPECT_EQ(sealed.back().total(), addrs.size());
+        ASSERT_EQ(sealed.back().lineAddrs(), linesOf(addrs))
+            << (pool ? pool->workers() : 0) << " workers";
+    }
     for (int mb = 2; mb <= 40; mb += 2) {
         const double want = oracleMissRate(addrs, mb);
-        for (WorkerPool *pool : pools) {
-            const double got = trace.replayMissRate(mb, pool);
+        for (size_t p = 0; p < std::size(pools); ++p) {
+            const double got = sealed[p].replayMissRate(mb, pools[p]);
             EXPECT_TRUE(sameBits(got, want))
-                << mb << " MB, " << (pool ? pool->workers() : 0)
+                << mb << " MB, " << (pools[p] ? pools[p]->workers() : 0)
                 << " workers: " << got << " vs oracle " << want;
         }
     }
@@ -472,7 +501,8 @@ TEST(LlcReplay, WarmupEdgeCases)
     // Empty: 0 with no division. Under 10 addresses the warm-up is
     // empty (warm = 0) and every access counts; 10 and 11 warm one.
     expectReplayMatchesOracle({});
-    EXPECT_EQ(AccessTrace().replayMissRate(20), 0.0);
+    EXPECT_EQ(ShardedTrace().replayMissRate(20), 0.0);
+    EXPECT_EQ(ShardedTrace(AccessTrace()).replayMissRate(20), 0.0);
     for (size_t n : {1, 2, 5, 9, 10, 11}) {
         std::vector<uint64_t> distinct, repeated;
         for (size_t i = 0; i < n; ++i) {
@@ -485,13 +515,89 @@ TEST(LlcReplay, WarmupEdgeCases)
     AccessTrace nine;
     for (uint64_t i = 0; i < 9; ++i)
         nine.add(lineAddr(5, 0));
-    EXPECT_EQ(nine.replayMissRate(2), 1.0 / 9.0); // cold miss counts
+    // The cold miss counts.
+    EXPECT_EQ(ShardedTrace(std::move(nine)).replayMissRate(2), 1.0 / 9.0);
+}
+
+TEST(LlcReplay, FillsAndHitsShareTheTraceClock)
+{
+    // A row compares hit stamps (clock) with aged fill stamps (clock -
+    // kInsertAge), so a shard must stamp with the trace index, not with
+    // a count of its own entries. Here A's hit and B's fill in set 5
+    // are kInsertAge + 8 accesses of another shard's set apart, so B's
+    // fill stamp is the newer one and C evicts A; on a per-shard count
+    // C would evict B, and A would hit at the end.
+    const uint64_t set = 5, other = set + 4 * ShardedTrace::kShardSets;
+    std::vector<uint64_t> addrs = {lineAddr(set, 0), lineAddr(set, 0)};
+    addrs.insert(addrs.end(), LlcSim::kInsertAge + 8, lineAddr(other, 0));
+    for (uint64_t tag : {1, 2, 0, 0})
+        addrs.push_back(lineAddr(set, tag));
+    WorkerPool p3(3);
+    for (WorkerPool *pool : {static_cast<WorkerPool *>(nullptr), &p3}) {
+        AccessTrace trace;
+        for (uint64_t a : addrs)
+            trace.add(a);
+        const ShardedTrace sealed(std::move(trace), pool);
+        EXPECT_TRUE(sameBits(sealed.replayMissRate(4, pool),
+                             oracleMissRate(addrs, 4)));
+    }
+}
+
+TEST(LlcReplay, PackingRoundTripsAtTheLimits)
+{
+    // Every set offset (so both sockets) in the first, second and last
+    // shards, at the largest tag and index and the smallest, with the
+    // byte offset 63 that sealing drops.
+    constexpr uint64_t kMaxTag = (1ull << 31) - 1;
+    constexpr size_t kMaxIndex = AccessTrace::kMaxCap - 1;
+    EXPECT_EQ(lineAddr(LlcSim::kSets - 1, kMaxTag) + 63,
+              LlcSim::kAddrLimit - 1);
+    int sockets[2] = {0, 0};
+    for (size_t shard : {size_t(0), size_t(1), ShardedTrace::kShards - 1})
+        for (size_t off = 0; off < ShardedTrace::kShardSets; ++off)
+            for (uint64_t tag : {uint64_t(0), kMaxTag})
+                for (size_t index : {size_t(0), kMaxIndex}) {
+                    const uint64_t set = shard * ShardedTrace::kShardSets + off;
+                    const uint64_t line = lineAddr(set, tag);
+                    const uint64_t e = ShardedTrace::pack(index, line + 63);
+                    ASSERT_EQ(e >> 63, 0u);
+                    ASSERT_EQ(ShardedTrace::shardOf(line + 63), shard);
+                    ASSERT_EQ(ShardedTrace::indexOf(e), index);
+                    ASSERT_EQ(ShardedTrace::lineAddrOf(e, shard), line)
+                        << set << " " << tag << " " << index;
+                    ASSERT_EQ(socketOfAddr(line), int(off >> 6 & 1));
+                    ++sockets[socketOfAddr(line)];
+                }
+    EXPECT_EQ(sockets[0], sockets[1]);
+}
+
+TEST(LlcReplay, SealRelocatesOnlyItsRange)
+{
+    // [lo, hi) moves up by delta; lo - 1 and hi stay. A relocation
+    // that reaches kAddrLimit is refused.
+    const uint64_t lo = 5 << 20, hi = 9 << 20, delta = 3 << 20;
+    const std::vector<uint64_t> addrs = {lo - 1, lo, lo + 4097, hi - 1, hi,
+                                         64};
+    AccessTrace trace;
+    for (uint64_t a : addrs)
+        trace.add(a);
+    const ShardedTrace sealed(std::move(trace), nullptr, {lo, hi, delta});
+    EXPECT_EQ(sealed.lineAddrs(),
+              linesOf({lo - 1, lo + delta, lo + 4097 + delta,
+                       hi - 1 + delta, hi, 64}));
+
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    AccessTrace high;
+    high.add(LlcSim::kAddrLimit - 64);
+    EXPECT_EXIT(ShardedTrace(std::move(high), nullptr,
+                             {LlcSim::kAddrLimit - 64, LlcSim::kAddrLimit, 64}),
+                ::testing::ExitedWithCode(1), "not below 2\\^51");
 }
 
 TEST(TpchDriverReplay, MissRateMatchesOracleAtEveryAllocation)
 {
     TpchDriver driver(2);
-    const auto &addrs = driver.trace().addrs();
+    const std::vector<uint64_t> addrs = driver.trace().lineAddrs();
     ASSERT_GT(addrs.size(), 1000u);
     for (int mb = 2; mb <= 40; mb += 2)
         EXPECT_TRUE(sameBits(driver.missRate(mb), oracleMissRate(addrs, mb)))
